@@ -1,6 +1,6 @@
-//! The experiment loader: every `e01`–`e17` binary is a suite invocation
-//! over the committed `scenarios/*.scn` files, executed by the shared
-//! sweep engine via [`crate::suite`].
+//! The experiment loader: `all_experiments` is a suite invocation over
+//! the committed `scenarios/*.scn` files (`--only e05` picks one),
+//! executed by the shared sweep engine via [`crate::suite`].
 //!
 //! Experiments used to be a 950-line Rust registry of spec structs and
 //! derive closures; they are now *data* — each scenario file holds its
@@ -210,27 +210,19 @@ pub fn scenarios_dir() -> PathBuf {
 /// Runs the suite and returns whether it is clean: `false` means an
 /// assertion failed or a `--compare` baseline comparison found drift
 /// (the caller exits 1).
-fn run_suite(only: Option<&str>, args: &[String]) -> Result<bool, String> {
+fn run_suite(args: &[String]) -> Result<bool, String> {
     let flags = parse_flags(args)?;
     let all = load_dir(&scenarios_dir())?;
-    let ids: Vec<&str> = match only {
-        Some(id) => vec![id],
-        None => match &flags.only {
-            Some(ids) => ids.iter().map(String::as_str).collect(),
-            None => Vec::new(),
-        },
-    };
-    let scenarios: Vec<Scenario> = if ids.is_empty() {
-        all
-    } else {
-        for id in &ids {
-            if !all.iter().any(|s| s.id == *id) {
-                return Err(format!("unknown experiment `{id}`"));
+    let scenarios: Vec<Scenario> = match &flags.only {
+        None => all,
+        Some(ids) => {
+            for id in ids {
+                if !all.iter().any(|s| &s.id == id) {
+                    return Err(format!("unknown experiment `{id}`"));
+                }
             }
+            all.into_iter().filter(|s| ids.contains(&s.id)).collect()
         }
-        all.into_iter()
-            .filter(|s| ids.iter().any(|id| *id == s.id))
-            .collect()
     };
     let cfg = SuiteConfig {
         smoke: flags.smoke,
@@ -279,10 +271,14 @@ fn run_suite(only: Option<&str>, args: &[String]) -> Result<bool, String> {
     Ok(clean)
 }
 
-fn main_with(only: Option<&str>) {
+/// Entry point for the `all_experiments` binary: parses the shared flags
+/// from `std::env::args` and runs the whole committed suite (or the
+/// `--only` subset) in-process, printing each experiment's tables or
+/// emitting one merged result set.
+pub fn suite_main() {
     // lint:allow(D003) — CLI entry point: args select which experiments run, never reach a record
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run_suite(only, &args) {
+    match run_suite(&args) {
         Ok(true) => {}
         // Assertion failure or baseline drift: exit 1, diff-style (2 is
         // reserved for errors).
@@ -295,20 +291,6 @@ fn main_with(only: Option<&str>) {
             std::process::exit(2);
         }
     }
-}
-
-/// Entry point for a single experiment binary: parses the shared flags
-/// from `std::env::args` and runs scenario `id` from the committed
-/// suite.
-pub fn experiment_main(id: &str) {
-    main_with(Some(id));
-}
-
-/// Entry point for the `all_experiments` binary: runs the whole
-/// committed suite (or the `--only` subset) in-process and emits one
-/// merged result set.
-pub fn suite_main() {
-    main_with(None);
 }
 
 #[cfg(test)]
@@ -431,18 +413,11 @@ mod tests {
             std::env::temp_dir().join(format!("doall_suite_compare_{}.json", std::process::id()));
         let base = base.to_str().unwrap().to_string();
         // e05 is pure combinatorics (`none` cells) — cheap to run twice.
-        let clean = run_suite(
-            None,
-            &args(&format!("--smoke --only e05 --json --out {base}")),
-        )
-        .unwrap();
+        let clean = run_suite(&args(&format!("--smoke --only e05 --json --out {base}"))).unwrap();
         assert!(clean, "no --compare given");
-        let clean = run_suite(
-            None,
-            &args(&format!(
-                "--smoke --only e05 --json --out {base}.2 --compare {base}"
-            )),
-        )
+        let clean = run_suite(&args(&format!(
+            "--smoke --only e05 --json --out {base}.2 --compare {base}"
+        )))
         .unwrap();
         assert!(clean, "a deterministic rerun must match its own baseline");
         // Doctor one value in the baseline: the rerun must flag drift.
@@ -451,19 +426,16 @@ mod tests {
                 .unwrap()
                 .replacen("\"dcont\": ", "\"dcont\": 9", 1);
         std::fs::write(&base, doctored).unwrap();
-        let clean = run_suite(
-            None,
-            &args(&format!(
-                "--smoke --only e05 --json --out {base}.2 --compare {base}"
-            )),
-        )
+        let clean = run_suite(&args(&format!(
+            "--smoke --only e05 --json --out {base}.2 --compare {base}"
+        )))
         .unwrap();
         assert!(
             !clean,
             "a doctored baseline value must be reported as drift"
         );
         assert!(
-            run_suite(None, &args("--smoke --only e99 --json")).is_err(),
+            run_suite(&args("--smoke --only e99 --json")).is_err(),
             "unknown ids are rejected"
         );
         let _ = std::fs::remove_file(&base);

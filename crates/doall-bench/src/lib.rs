@@ -3,17 +3,19 @@
 //! executes the committed `scenarios/*.scn` files (every `e01`–`e17`
 //! experiment is such a file — data, not Rust).
 //!
-//! Each experiment is a thin binary under `src/bin/` that calls
-//! [`experiment_main`]; `all_experiments` runs the whole committed suite
-//! in-process via [`suite_main`], and `doall test --suite <dir>` runs
-//! any scenario directory. All binaries share the same flags (`--smoke`,
-//! `--json`, `--csv`, `--threads N`, `--shard-size N`, `--out PATH`,
-//! `--max-ticks N`) — see [`output::FLAGS_USAGE`].
+//! Two front ends run the suite: `doall test --suite <dir>` (pass/fail
+//! report, baseline diff) and the `all_experiments` binary via
+//! [`suite_main`], which prints each experiment's tables with its title,
+//! setup and notes, or emits one merged result set. The binary's flags
+//! (`--smoke`, `--only`, `--json`, `--csv`, `--threads N`,
+//! `--shard-size N`, `--out PATH`, `--max-ticks N`, …) are listed in
+//! [`output::FLAGS_USAGE`].
 //!
 //! ```text
 //! cargo run --release -p doall-bench --bin all_experiments            # full tables
 //! cargo run --release -p doall-bench --bin all_experiments -- \
 //!     --smoke --json --out bench-smoke.json                          # the CI artifact
+//! cargo run --release -p doall-bench --bin all_experiments -- --only e05
 //! ```
 //!
 //! The module split mirrors the pipeline: [`scenario`] (the `*.scn` file
@@ -21,13 +23,12 @@
 //! it, in parallel, deterministically) → [`resultset`] (the record
 //! schema and its deterministic JSON/CSV renderers) → [`output`] (which
 //! rendering, and where it goes), with [`suite`] orchestrating
-//! discovery, assertion evaluation, and the pass/fail report, and
+//! discovery, assertion evaluation, and the pass/fail report,
 //! [`experiments`] holding the named derived-metric hooks plus the
-//! binary entry points. On top of the per-run pipeline sit the
-//! trajectory modules: [`mod@compare`] diffs two result sets, [`history`]
-//! keeps the append-only `HISTORY.jsonl` ledger (one entry per landed
-//! PR), and [`trend`] turns the ledger into sparklines, slopes, and the
-//! cumulative band gate behind `doall trend`.
+//! binary entry point, and [`mod@compare`] diffing two result sets
+//! cell by cell at tolerance 0. Host timings are not measured here: the
+//! `perfbench/` program (declared in `BENCHMARK.json`) times these
+//! public entry points from outside.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,25 +36,19 @@
 pub mod compare;
 pub mod experiments;
 pub mod grid;
-pub mod history;
 pub mod output;
 pub mod resultset;
 pub mod scenario;
 pub mod suite;
 pub mod sweep;
-pub mod trend;
 
 pub use compare::{
     compare, compare_files, load_result_set, parse_result_set, preserve_measured_values,
     BaselineSet, CellDiff, CellKey, CellStatus, CompareError, Comparison, MetricDelta,
     DIFF_SCHEMA_VERSION,
 };
-pub use experiments::{derive_by_name, experiment_main, scenarios_dir, suite_main, DeriveFn};
+pub use experiments::{derive_by_name, scenarios_dir, suite_main, DeriveFn};
 pub use grid::{AdversarySpec, Cell, CrashStagger, Grid, GridError};
-pub use history::{
-    append_entry, load_history, parse_entry, parse_history, History, HistoryEntry, HistoryError,
-    HISTORY_SCHEMA_VERSION,
-};
 pub use output::{Flags, Format, Record, ResultSet, SCHEMA_VERSION};
 pub use resultset::{canonical_adversary, parse_json, Json, ResultSetError};
 pub use scenario::{Assertion, Scenario, ScenarioError};
@@ -63,10 +58,6 @@ pub use suite::{
 pub use sweep::{
     effective_shard_size, run_cells, run_cells_with_stats, CellMeasurement, SweepConfig,
     SweepError, SweepStats,
-};
-pub use trend::{
-    analyze, parse_band, slope, sparkline, Band, BandViolation, MetricTrend, TrendConfig,
-    TrendReport, TREND_SCHEMA_VERSION,
 };
 
 /// A Markdown table accumulated row by row and printed to stdout.

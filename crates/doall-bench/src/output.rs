@@ -1,6 +1,6 @@
-//! The shared command-line flags every experiment binary understands,
-//! plus format selection and delivery (`emit`) for the machine-readable
-//! sweep results.
+//! The command-line flags of the `all_experiments` binary, plus format
+//! selection and delivery (`emit`) for the machine-readable sweep
+//! results.
 //!
 //! The result-set model and its deterministic JSON/CSV renderers live in
 //! [`crate::resultset`] — the single owner of the record schema. This
@@ -24,7 +24,7 @@ pub enum Format {
     Csv,
 }
 
-/// The flags every experiment binary shares.
+/// The flags `all_experiments` takes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Flags {
     /// Run the tiny smoke grid instead of the full one.
@@ -53,7 +53,7 @@ pub struct Flags {
 
 /// Usage text for the shared experiment flags.
 pub const FLAGS_USAGE: &str = "\
-Shared experiment flags:
+Experiment flags:
   --smoke          run the tiny smoke grid instead of the full grid
   --json           emit machine-readable JSON (deterministic; CI baseline format)
   --csv            emit long-format CSV (one row per cell × metric)

@@ -47,7 +47,7 @@ impl fmt::Display for ResultSetError {
 
 impl std::error::Error for ResultSetError {}
 
-pub(crate) fn err(msg: impl Into<String>) -> ResultSetError {
+fn err(msg: impl Into<String>) -> ResultSetError {
     ResultSetError(msg.into())
 }
 
@@ -302,10 +302,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The result-set
+/// schema nests four levels deep; the bound keeps malformed input from
+/// overflowing the stack of the recursive-descent reader.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -314,6 +321,7 @@ impl<'a> Parser<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -356,8 +364,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, ResultSetError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b'n') => self.eat_literal("null", Json::Null),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
@@ -366,6 +374,23 @@ impl<'a> Parser<'a> {
             Some(other) => Err(self.fail(&format!("unexpected byte `{}`", other as char))),
             None => Err(self.fail("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ResultSetError>,
+    ) -> Result<Json, ResultSetError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.fail(&format!(
+                "nesting exceeds the limit of {MAX_JSON_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, ResultSetError> {
@@ -580,9 +605,8 @@ impl fmt::Display for CellKey {
 /// The one adversary-key canonicalization point: spellings the grid
 /// grammar understands re-render through
 /// [`crate::grid::AdversarySpec`] (`crash:07` ≡ `crash:7`); unknown
-/// keys pass through verbatim. Every schema reader — baseline parsing,
-/// the history ledger, trend extraction — normalizes here, never
-/// locally.
+/// keys pass through verbatim. Every schema reader normalizes here,
+/// never locally.
 #[must_use]
 pub fn canonical_adversary(raw: &str) -> String {
     crate::grid::AdversarySpec::parse(raw).map_or_else(|_| raw.to_string(), |spec| spec.to_string())
@@ -615,12 +639,12 @@ impl BaselineSet {
     }
 }
 
-pub(crate) fn field<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a Json, ResultSetError> {
+fn field<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a Json, ResultSetError> {
     obj.get(key)
         .ok_or_else(|| err(format!("{what}: missing `{key}`")))
 }
 
-pub(crate) fn as_u64(value: &Json, what: &str) -> Result<u64, ResultSetError> {
+fn as_u64(value: &Json, what: &str) -> Result<u64, ResultSetError> {
     match value {
         Json::Number(v) if v.fract() == 0.0 && *v >= 0.0 && *v <= 2f64.powi(53) =>
         {
@@ -631,7 +655,7 @@ pub(crate) fn as_u64(value: &Json, what: &str) -> Result<u64, ResultSetError> {
     }
 }
 
-pub(crate) fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, ResultSetError> {
+fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, ResultSetError> {
     match value {
         Json::String(s) => Ok(s),
         _ => Err(err(format!("{what}: expected a string"))),
@@ -639,9 +663,8 @@ pub(crate) fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, ResultS
 }
 
 /// Parses one record object into its key, metric map, and the raw
-/// (pre-canonicalization) adversary spelling — shared by result-set
-/// documents and history-ledger entries, so both normalize identically.
-pub(crate) fn record_from_json(
+/// (pre-canonicalization) adversary spelling.
+fn record_from_json(
     record: &Json,
     what: &str,
 ) -> Result<(CellKey, BTreeMap<String, f64>, String), ResultSetError> {
@@ -684,7 +707,7 @@ pub(crate) fn record_from_json(
 
 /// Inserts a parsed record into a cell map, rejecting duplicates with a
 /// canonicalization hint when two spellings collapsed onto one key.
-pub(crate) fn insert_cell(
+fn insert_cell(
     cells: &mut BTreeMap<CellKey, BTreeMap<String, f64>>,
     key: CellKey,
     metrics: BTreeMap<String, f64>,
@@ -751,30 +774,6 @@ pub fn load_result_set(path: &str) -> Result<BaselineSet, ResultSetError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
     parse_result_set(&text).map_err(|e| err(format!("{path}: {e}")))
-}
-
-/// Renders one keyed cell as a compact record object (the history
-/// ledger's per-record form). Unlike [`ResultSet::to_json`], the
-/// `backend` field is always present — the key is already canonical, so
-/// there is no legacy spelling to preserve.
-pub(crate) fn render_key_record(key: &CellKey, metrics: &BTreeMap<String, f64>) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"experiment\": \"{}\", \"algo\": \"{}\", \"adversary\": \"{}\", \
-         \"backend\": \"{}\", \"p\": {}, \"t\": {}, \"d\": {}, \"seeds\": {}, \"metrics\": {{",
-        json_escape(&key.experiment),
-        json_escape(&key.algo),
-        json_escape(&key.adversary),
-        json_escape(&key.backend),
-        key.p,
-        key.t,
-        key.d,
-        key.seeds,
-    );
-    render_metrics(&mut out, metrics);
-    out.push_str("}}");
-    out
 }
 
 #[cfg(test)]
@@ -930,6 +929,23 @@ mod tests {
     }
 
     #[test]
+    fn json_parser_bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_ok());
+        let limit = format!("limit of {MAX_JSON_DEPTH}");
+        // Deep enough to overflow the stack of an unbounded recursive
+        // reader: it must come back as an error instead.
+        for doc in [
+            nest(MAX_JSON_DEPTH + 1),
+            nest(200_000),
+            "{\"a\": ".repeat(200_000),
+        ] {
+            let e = parse_json(&doc).unwrap_err().to_string();
+            assert!(e.contains(&limit), "{e}");
+        }
+    }
+
+    #[test]
     fn parse_render_round_trips_the_harness_schema() {
         // parse ∘ render ≡ id: the in-memory set, rendered and re-parsed,
         // reduces to the same BaselineSet as the direct reduction.
@@ -958,28 +974,5 @@ mod tests {
         assert_eq!(canonical_adversary("stage"), "stage");
         // Keys outside the grammar pass through verbatim (no false merge).
         assert_eq!(canonical_adversary("quantum:3"), "quantum:3");
-    }
-
-    #[test]
-    fn render_key_record_parses_back_to_the_same_cell() {
-        let key = CellKey {
-            experiment: "e12".to_string(),
-            algo: "paran1".to_string(),
-            adversary: "crash:7".to_string(),
-            backend: "threads".to_string(),
-            p: 8,
-            t: 32,
-            d: 4,
-            seeds: 2,
-        };
-        let mut metrics = BTreeMap::new();
-        metrics.insert("mean_work".to_string(), 40.5);
-        metrics.insert("bad".to_string(), f64::NAN);
-        let rendered = render_key_record(&key, &metrics);
-        let json = parse_json(&rendered).unwrap();
-        let (back, back_metrics, _) = record_from_json(&json, "record").unwrap();
-        assert_eq!(back, key);
-        assert_eq!(back_metrics["mean_work"], 40.5);
-        assert!(back_metrics["bad"].is_nan(), "null round-trips to NaN");
     }
 }

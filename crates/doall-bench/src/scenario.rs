@@ -44,6 +44,7 @@
 //! * Arithmetic is `+ - * /` with the usual precedence, parentheses,
 //!   and `ratio(a, b)` as a readable spelling of `a / b`. Division by
 //!   zero follows IEEE (and a NaN comparison fails the assertion).
+//!   Expressions nest at most [`MAX_EXPR_DEPTH`] levels deep.
 //!
 //! Parsing and rendering are exact inverses (`parse ∘ render ≡ id`,
 //! property-tested), and malformed lines report their line number.
@@ -614,9 +615,18 @@ enum Tok {
     Comma,
 }
 
+/// Deepest expression nesting an assertion may use: every parenthesis,
+/// `ratio(…)` and chained `+ - * /` operator adds a level. Committed
+/// scenarios nest at most two deep; the bound keeps malformed input
+/// from overflowing the stack of the recursive parser and of the
+/// recursive walks over the expression tree.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
 struct Tokens {
     toks: Vec<Tok>,
     pos: usize,
+    /// Expression levels currently open (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Tokens {
@@ -702,7 +712,11 @@ impl Tokens {
                 other => return Err(format!("unexpected character `{other}`")),
             }
         }
-        Ok(Tokens { toks, pos: 0 })
+        Ok(Tokens {
+            toks,
+            pos: 0,
+            depth: 0,
+        })
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -776,27 +790,50 @@ impl Tokens {
         }
     }
 
+    /// Opens one expression level, refusing to go past
+    /// [`MAX_EXPR_DEPTH`]. Callers restore `depth` once their subtree is
+    /// built.
+    fn nest(&mut self) -> Result<(), String> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(format!(
+                "expression nesting exceeds the limit of {MAX_EXPR_DEPTH} levels"
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn expr(&mut self) -> Result<Expr, String> {
+        let outer = self.depth;
+        self.nest()?;
         let mut lhs = self.term()?;
         loop {
+            // A chain `a + b + c` nests left: each operator is a level.
             if self.eat(&Tok::Plus) {
+                self.nest()?;
                 lhs = Expr::Add(Box::new(lhs), Box::new(self.term()?));
             } else if self.eat(&Tok::Minus) {
+                self.nest()?;
                 lhs = Expr::Sub(Box::new(lhs), Box::new(self.term()?));
             } else {
+                self.depth = outer;
                 return Ok(lhs);
             }
         }
     }
 
     fn term(&mut self) -> Result<Expr, String> {
+        let outer = self.depth;
         let mut lhs = self.factor()?;
         loop {
             if self.eat(&Tok::Star) {
+                self.nest()?;
                 lhs = Expr::Mul(Box::new(lhs), Box::new(self.factor()?));
             } else if self.eat(&Tok::Slash) {
+                self.nest()?;
                 lhs = Expr::Div(Box::new(lhs), Box::new(self.factor()?));
             } else {
+                self.depth = outer;
                 return Ok(lhs);
             }
         }
@@ -1146,6 +1183,25 @@ assert agg max(ratio_quadratic) < 10
         ] {
             let e = Assertion::parse(line).expect_err(line);
             assert!(e.contains(needle), "`{line}` error `{e}` lacks `{needle}`");
+        }
+    }
+
+    #[test]
+    fn assertion_parser_bounds_expression_nesting() {
+        let parens = |n: usize| format!("assert {}work{} >= t", "(".repeat(n), ")".repeat(n));
+        let chain = |n: usize| format!("assert work{} >= t", " + work".repeat(n));
+        let ratios =
+            |n: usize| format!("assert {}work{} >= t", "ratio(".repeat(n), ", t)".repeat(n));
+        let deepest = MAX_EXPR_DEPTH - 1;
+        for ok in [parens(deepest), chain(deepest), ratios(deepest)] {
+            assert!(Assertion::parse(&ok).is_ok(), "{ok}");
+        }
+        // 200,000 levels overflow the stack of an unbounded parser (or of
+        // dropping the tree it builds); each must be a parse error.
+        let limit = format!("limit of {MAX_EXPR_DEPTH}");
+        for bad in [parens(200_000), chain(200_000), ratios(MAX_EXPR_DEPTH)] {
+            let e = Assertion::parse(&bad).unwrap_err();
+            assert!(e.contains(&limit), "{e}");
         }
     }
 
