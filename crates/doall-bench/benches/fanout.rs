@@ -2,12 +2,10 @@
 //! broadcast payload to `p − 1` recipients, at the processor counts the
 //! scaled grids sweep (p ∈ {64, 4096, 65536}).
 //!
-//! Three variants bracket the design space:
+//! Two variants, one per delivery engine:
 //!
-//! * `shared`  — the production path: one `Arc<BitSet>` payload, one
+//! * `shared`  — the `Mailboxes` path: one `Arc<BitSet>` payload, one
 //!   refcount bump per recipient.
-//! * `cloned`  — the pre-redesign behaviour, kept as the yardstick: a
-//!   deep `BitSet` clone per recipient (p allocations per broadcast).
 //! * `bus`     — the `BroadcastBus` engine: one push for the whole
 //!   broadcast, then every recipient pulls its delivery.
 
@@ -42,17 +40,6 @@ fn bench_fanout(c: &mut Criterion) {
                 out.clear();
                 for _ in 1..p {
                     out.push(Message::new(from, Arc::clone(&bits)));
-                }
-                black_box(out.len())
-            });
-        });
-
-        group.bench_function(format!("cloned/p={p}"), |b| {
-            let mut out: Vec<Message> = Vec::with_capacity(p);
-            b.iter(|| {
-                out.clear();
-                for _ in 1..p {
-                    out.push(Message::new(from, BitSet::clone(&bits)));
                 }
                 black_box(out.len())
             });

@@ -20,6 +20,12 @@
 //! reference to a payload from an envelope, so a received bitmap can never
 //! be edited in place — merge it into your own state and drop the message.
 //!
+//! Building the payload is cheap too: a [`BitSet`] clone shares its
+//! storage copy-on-write, so a payload cloned from the sender's replica
+//! shares that replica's words (or chunks) until either side writes. The
+//! sender's next write then copies only the block it touches, and the
+//! payload never changes.
+//!
 //! Constructors take `impl Into<Arc<BitSet>>`, so call sites may pass an
 //! owned `BitSet` (converted for them) or an `Arc<BitSet>` they already
 //! share; algorithm code that built payloads by value keeps compiling

@@ -147,10 +147,18 @@ impl Mailboxes {
 ///
 /// Each full (everyone-but-the-sender) broadcast is stored **once**,
 /// keyed by its delivery instant; broadcasts sharing an instant are
-/// coalesced into one union payload at submission time. Every processor
-/// keeps a cursor of the last instant it consumed, so delivering to a
-/// stepping processor is a range walk handing out `Arc` clones of the
-/// sealed group payloads — no per-recipient materialization ever happens.
+/// coalesced into one payload per instant at submission time. Every
+/// processor keeps a cursor of the last instant it consumed, so
+/// delivering to a stepping processor is a range walk handing out `Arc`
+/// clones of the instants' payloads — no per-recipient materialization
+/// ever happens.
+///
+/// Coalescing goes through [`Arc::make_mut`]: the first broadcast of an
+/// instant is stored as-is, and each later one is unioned into it.
+/// `make_mut` clones the payload only while someone else (a caller that
+/// kept its `Arc`) still holds it; the clone shares the bitset's storage
+/// copy-on-write, so the union copies only the blocks it writes and a
+/// held payload never changes.
 ///
 /// Soundness: payloads are monotone bitmaps merged by union, so a
 /// processor receiving the union of several concurrent broadcasts (even
@@ -161,10 +169,6 @@ impl Mailboxes {
 /// here when the adversary declares
 /// [`Delivery::UniformBroadcast`](crate::adversary::Delivery); multicasts
 /// and per-recipient-delay traffic stay in [`Mailboxes`].
-///
-/// A group is frozen once its delivery instant is reached (delays are
-/// `≥ 1`, so nothing sent at time `τ` can join a group deliverable at
-/// `τ`), which is what makes handing out shared references sound.
 #[derive(Debug, Default)]
 pub struct BroadcastBus {
     groups: BTreeMap<u64, BusGroup>,
@@ -178,16 +182,8 @@ struct BusGroup {
     /// that broadcast into this instant (deterministic — submission
     /// order is the pid-ordered step loop).
     from: ProcId,
-    payload: BusPayload,
-}
-
-#[derive(Debug)]
-enum BusPayload {
-    /// The single payload of a one-broadcast group (shared, never
-    /// copied), or a coalesced union already handed out.
-    Sealed(Arc<BitSet>),
-    /// A union still accumulating concurrent broadcasts.
-    Building(BitSet),
+    /// The union of every payload submitted for this instant.
+    payload: Arc<BitSet>,
 }
 
 impl BroadcastBus {
@@ -209,7 +205,7 @@ impl BroadcastBus {
 
     /// Submits a broadcast from `from` deliverable at `deliver_at`. The
     /// first broadcast of an instant is stored as-is (one refcount bump);
-    /// later ones are unioned into a coalesced payload.
+    /// later ones are unioned into that instant's payload.
     ///
     /// # Panics
     ///
@@ -220,21 +216,11 @@ impl BroadcastBus {
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(BusGroup {
                     from,
-                    payload: BusPayload::Sealed(Arc::clone(bits)),
+                    payload: Arc::clone(bits),
                 });
             }
             std::collections::btree_map::Entry::Occupied(mut e) => {
-                let payload = &mut e.get_mut().payload;
-                match payload {
-                    BusPayload::Sealed(first) => {
-                        let mut union = (**first).clone();
-                        union.union_with(bits);
-                        *payload = BusPayload::Building(union);
-                    }
-                    BusPayload::Building(union) => {
-                        union.union_with(bits);
-                    }
-                }
+                Arc::make_mut(&mut e.get_mut().payload).union_with(bits);
             }
         }
     }
@@ -251,20 +237,8 @@ impl BroadcastBus {
         if cursor > now {
             return;
         }
-        for (_, group) in self.groups.range_mut(cursor..=now) {
-            let sealed = match &mut group.payload {
-                BusPayload::Sealed(a) => a,
-                BusPayload::Building(union) => {
-                    group.payload =
-                        BusPayload::Sealed(Arc::new(std::mem::replace(union, BitSet::new(0))));
-                    match &mut group.payload {
-                        BusPayload::Sealed(a) => a,
-                        // lint:allow(H001) — invariant: Sealed was assigned on the previous line
-                        BusPayload::Building(_) => unreachable!("just sealed"),
-                    }
-                }
-            };
-            out.push(Message::new(group.from, Arc::clone(sealed)));
+        for (_, group) in self.groups.range(cursor..=now) {
+            out.push(Message::new(group.from, Arc::clone(&group.payload)));
         }
         self.cursors[pid] = now + 1;
     }
@@ -382,6 +356,21 @@ mod tests {
         bus.deliver_into(1, 4, &mut out);
         assert_eq!(out.len(), 1, "one envelope per instant");
         assert_eq!(out[0].from(), ProcId::new(0), "first sender stamps it");
+        assert!(out[0].bits().contains(0) && out[0].bits().contains(7));
+    }
+
+    #[test]
+    fn bus_merge_leaves_a_held_payload_unchanged() {
+        let mut bus = BroadcastBus::new(3);
+        let first = payload(0);
+        bus.push(ProcId::new(0), 4, &first);
+        bus.push(ProcId::new(2), 4, &payload(7));
+        assert!(
+            !first.contains(7) && first.count() == 1,
+            "the merge copied the payload its sender still holds"
+        );
+        let mut out = Vec::new();
+        bus.deliver_into(1, 4, &mut out);
         assert!(out[0].bits().contains(0) && out[0].bits().contains(7));
     }
 
