@@ -25,13 +25,9 @@
 //! same pair of files always yields byte-identical output, regardless of
 //! thread counts anywhere upstream.
 
-// Schema types used to live here; the re-export keeps
-// `doall_bench::compare::{parse_result_set, …}` paths compiling.
-pub use crate::resultset::{
-    load_result_set, parse_json, parse_result_set, BaselineSet, CellKey, Json, ResultSetError,
+use crate::resultset::{
+    json_escape, json_number, load_result_set, BaselineSet, CellKey, ResultSet, ResultSetError,
 };
-
-use crate::resultset::{json_escape, json_number};
 use crate::Table;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -68,7 +64,7 @@ pub(crate) fn metric_exempt(key: &CellKey, metric: &str) -> bool {
 /// the previous baseline so an unchanged suite regenerates the
 /// committed file *byte-identically* instead of churning timing noise;
 /// genuinely new or removed cells/metrics still come and go.
-pub fn preserve_measured_values(results: &mut crate::resultset::ResultSet, old: &BaselineSet) {
+pub fn preserve_measured_values(results: &mut ResultSet, old: &BaselineSet) {
     for record in &mut results.records {
         let key = record.key();
         let Some(old_metrics) = old.cells.get(&key) else {
@@ -486,6 +482,7 @@ pub fn compare_files(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resultset::{parse_json, parse_result_set, Json};
 
     fn set(records: &str) -> BaselineSet {
         let text = format!(

@@ -1,6 +1,7 @@
-//! The experiment loader: `all_experiments` is a suite invocation over
-//! the committed `scenarios/*.scn` files (`--only e05` picks one),
-//! executed by the shared sweep engine via [`crate::suite`].
+//! The experiment hooks: every experiment is a committed
+//! `scenarios/*.scn` file, run by `doall test --suite scenarios/`
+//! (`--only e05` picks one) through [`crate::suite`] and the shared
+//! sweep engine.
 //!
 //! Experiments used to be a 950-line Rust registry of spec structs and
 //! derive closures; they are now *data* — each scenario file holds its
@@ -15,9 +16,6 @@
 //! of panicking the harness.
 
 use crate::grid::{schedules_for_algo, Cell, ALGO_NONE};
-use crate::output::{emit, parse_flags, Format, ResultSet, FLAGS_USAGE};
-use crate::scenario::Scenario;
-use crate::suite::{load_dir, run_scenario, SuiteConfig};
 use doall_algorithms::Da;
 use doall_bounds::{da_epsilon, da_upper_bound, lower_bound_work, oblivious_work, pa_upper_bound};
 use doall_core::Instance;
@@ -207,96 +205,11 @@ pub fn scenarios_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
-/// Runs the suite and returns whether it is clean: `false` means an
-/// assertion failed or a `--compare` baseline comparison found drift
-/// (the caller exits 1).
-fn run_suite(args: &[String]) -> Result<bool, String> {
-    let flags = parse_flags(args)?;
-    let all = load_dir(&scenarios_dir())?;
-    let scenarios: Vec<Scenario> = match &flags.only {
-        None => all,
-        Some(ids) => {
-            for id in ids {
-                if !all.iter().any(|s| &s.id == id) {
-                    return Err(format!("unknown experiment `{id}`"));
-                }
-            }
-            all.into_iter().filter(|s| ids.contains(&s.id)).collect()
-        }
-    };
-    let cfg = SuiteConfig {
-        smoke: flags.smoke,
-        threads: flags.threads,
-        shard_size: flags.shard_size,
-        max_ticks: flags.max_ticks,
-    };
-    let human = flags.format == Format::Table;
-    let mut records = Vec::new();
-    let mut failures = Vec::new();
-    for scn in &scenarios {
-        let outcome = run_scenario(scn, &cfg)?;
-        if human {
-            crate::section(&scn.id, &scn.title, &scn.setup);
-            ResultSet {
-                mode: String::new(),
-                records: outcome.records.clone(),
-            }
-            .print_tables();
-            println!("{}", scn.notes);
-        }
-        failures.extend(outcome.failures);
-        records.extend(outcome.records);
-    }
-    let mode = if flags.smoke { "smoke" } else { "full" };
-    let results = ResultSet {
-        mode: mode.to_string(),
-        records,
-    };
-    if !human {
-        emit(&results, &flags)?;
-    }
-    // Assertion failures go to stderr (stdout may carry the results).
-    for failure in &failures {
-        eprintln!("FAIL {failure}");
-    }
-    let mut clean = failures.is_empty();
-    if let Some(path) = &flags.compare {
-        let baseline = crate::compare::load_result_set(path).map_err(|e| e.to_string())?;
-        let current = crate::compare::BaselineSet::of(&results);
-        let comparison = crate::compare::compare(&baseline, &current, flags.tolerance);
-        // The diff goes to stderr too.
-        eprint!("{}", comparison.render_text());
-        clean &= comparison.is_clean();
-    }
-    Ok(clean)
-}
-
-/// Entry point for the `all_experiments` binary: parses the shared flags
-/// from `std::env::args` and runs the whole committed suite (or the
-/// `--only` subset) in-process, printing each experiment's tables or
-/// emitting one merged result set.
-pub fn suite_main() {
-    // lint:allow(D003) — CLI entry point: args select which experiments run, never reach a record
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match run_suite(&args) {
-        Ok(true) => {}
-        // Assertion failure or baseline drift: exit 1, diff-style (2 is
-        // reserved for errors).
-        Ok(false) => std::process::exit(1),
-        Err(e) if e == "help" => {
-            println!("{FLAGS_USAGE}");
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::run_suite as run_suite_scenarios;
+    use crate::scenario::Scenario;
+    use crate::suite::{load_dir, run_scenario, run_suite, SuiteConfig};
 
     fn committed() -> Vec<Scenario> {
         load_dir(&scenarios_dir()).expect("committed scenarios load")
@@ -407,42 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn suite_compare_is_clean_against_own_output_and_flags_drift() {
-        let args = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
-        let base =
-            std::env::temp_dir().join(format!("doall_suite_compare_{}.json", std::process::id()));
-        let base = base.to_str().unwrap().to_string();
-        // e05 is pure combinatorics (`none` cells) — cheap to run twice.
-        let clean = run_suite(&args(&format!("--smoke --only e05 --json --out {base}"))).unwrap();
-        assert!(clean, "no --compare given");
-        let clean = run_suite(&args(&format!(
-            "--smoke --only e05 --json --out {base}.2 --compare {base}"
-        )))
-        .unwrap();
-        assert!(clean, "a deterministic rerun must match its own baseline");
-        // Doctor one value in the baseline: the rerun must flag drift.
-        let doctored =
-            std::fs::read_to_string(&base)
-                .unwrap()
-                .replacen("\"dcont\": ", "\"dcont\": 9", 1);
-        std::fs::write(&base, doctored).unwrap();
-        let clean = run_suite(&args(&format!(
-            "--smoke --only e05 --json --out {base}.2 --compare {base}"
-        )))
-        .unwrap();
-        assert!(
-            !clean,
-            "a doctored baseline value must be reported as drift"
-        );
-        assert!(
-            run_suite(&args("--smoke --only e99 --json")).is_err(),
-            "unknown ids are rejected"
-        );
-        let _ = std::fs::remove_file(&base);
-        let _ = std::fs::remove_file(format!("{base}.2"));
-    }
-
-    #[test]
     fn lemma_scenarios_pass_their_declarative_assertions_in_smoke() {
         let scenarios = committed();
         let cfg = SuiteConfig {
@@ -458,7 +335,7 @@ mod tests {
             .filter(|s| s.id == "e04" || s.id == "e10")
             .collect();
         assert_eq!(subset.len(), 2);
-        let report = run_suite_scenarios(&subset, &cfg).unwrap();
+        let report = run_suite(&subset, &cfg).unwrap();
         assert!(report.is_clean(), "{}", report.render_table());
         assert!(report.scenarios.iter().all(|s| s.checks > 0));
     }

@@ -432,48 +432,6 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// Builds a grid from slices (spec-construction helper for the
-    /// experiment registry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an adversary key fails to parse — registry grids are
-    /// literals, so a bad key is a programming error (and every grid is
-    /// also validated by a registry test).
-    #[must_use]
-    pub fn new(
-        algos: &[&str],
-        adversaries: &[&str],
-        shapes: &[(usize, usize)],
-        ds: &[u64],
-        seeds: u64,
-        base_seed: u64,
-    ) -> Self {
-        Self {
-            algos: algos.iter().map(|s| (*s).to_string()).collect(),
-            adversaries: adversaries
-                .iter()
-                .map(|s| {
-                    AdversarySpec::parse(s)
-                        .unwrap_or_else(|e| panic!("bad adversary key `{s}`: {e}"))
-                })
-                .collect(),
-            shapes: shapes.to_vec(),
-            ds: ds.to_vec(),
-            backends: Vec::new(),
-            seeds,
-            base_seed,
-        }
-    }
-
-    /// Tags the grid with an explicit backends axis (spec-construction
-    /// helper for backend-aware experiments like `e17`).
-    #[must_use]
-    pub fn with_backends(mut self, backends: &[Backend]) -> Self {
-        self.backends = backends.to_vec();
-        self
-    }
-
     /// Parses the textual spec format rendered by [`fmt::Display`].
     ///
     /// # Errors

@@ -3,32 +3,25 @@
 //! executes the committed `scenarios/*.scn` files (every `e01`–`e17`
 //! experiment is such a file — data, not Rust).
 //!
-//! Two front ends run the suite: `doall test --suite <dir>` (pass/fail
-//! report, baseline diff) and the `all_experiments` binary via
-//! [`suite_main`], which prints each experiment's tables with its title,
-//! setup and notes, or emits one merged result set. The binary's flags
-//! (`--smoke`, `--only`, `--json`, `--csv`, `--threads N`,
-//! `--shard-size N`, `--out PATH`, `--max-ticks N`, …) are listed in
-//! [`output::FLAGS_USAGE`].
+//! One front end runs the suite: `doall test --suite <dir>`. It prints
+//! the pass/fail report (or diffs a baseline) on stdout and each
+//! experiment's tables, with its title, setup and notes
+//! ([`suite::render_sections`]), on stderr:
 //!
 //! ```text
-//! cargo run --release -p doall-bench --bin all_experiments            # full tables
-//! cargo run --release -p doall-bench --bin all_experiments -- \
-//!     --smoke --json --out bench-smoke.json                          # the CI artifact
-//! cargo run --release -p doall-bench --bin all_experiments -- --only e05
+//! doall test --suite scenarios/ --smoke --only e05 2> e05.md
 //! ```
 //!
 //! The module split mirrors the pipeline: [`scenario`] (the `*.scn` file
 //! format: grids + assertions) → [`grid`] (what to run) → [`sweep`] (run
 //! it, in parallel, deterministically) → [`resultset`] (the record
-//! schema and its deterministic JSON/CSV renderers) → [`output`] (which
-//! rendering, and where it goes), with [`suite`] orchestrating
-//! discovery, assertion evaluation, and the pass/fail report,
-//! [`experiments`] holding the named derived-metric hooks plus the
-//! binary entry point, and [`mod@compare`] diffing two result sets
-//! cell by cell at tolerance 0. Host timings are not measured here: the
-//! `perfbench/` program (declared in `BENCHMARK.json`) times these
-//! public entry points from outside.
+//! schema and its deterministic JSON/CSV/Markdown renderers), with
+//! [`suite`] orchestrating discovery, assertion evaluation, and the
+//! pass/fail report, [`experiments`] holding the named derived-metric
+//! hooks, and [`mod@compare`] diffing two result sets cell by cell at
+//! tolerance 0. Host timings are not measured here: the `perfbench/`
+//! program (declared in `BENCHMARK.json`) times these public entry
+//! points from outside.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,21 +29,21 @@
 pub mod compare;
 pub mod experiments;
 pub mod grid;
-pub mod output;
 pub mod resultset;
 pub mod scenario;
 pub mod suite;
 pub mod sweep;
 
 pub use compare::{
-    compare, compare_files, load_result_set, parse_result_set, preserve_measured_values,
-    BaselineSet, CellDiff, CellKey, CellStatus, CompareError, Comparison, MetricDelta,
-    DIFF_SCHEMA_VERSION,
+    compare, compare_files, preserve_measured_values, CellDiff, CellStatus, CompareError,
+    Comparison, MetricDelta, DIFF_SCHEMA_VERSION,
 };
-pub use experiments::{derive_by_name, scenarios_dir, suite_main, DeriveFn};
+pub use experiments::{derive_by_name, scenarios_dir, DeriveFn};
 pub use grid::{AdversarySpec, Cell, CrashStagger, Grid, GridError};
-pub use output::{Flags, Format, Record, ResultSet, SCHEMA_VERSION};
-pub use resultset::{canonical_adversary, parse_json, Json, ResultSetError};
+pub use resultset::{
+    canonical_adversary, load_result_set, parse_json, parse_result_set, BaselineSet, CellKey, Json,
+    Record, ResultSet, ResultSetError, SCHEMA_VERSION,
+};
 pub use scenario::{Assertion, Scenario, ScenarioError};
 pub use suite::{
     load_dir, run_scenario, run_suite, AssertionFailure, ScenarioOutcome, SuiteConfig, SuiteReport,
@@ -60,7 +53,7 @@ pub use sweep::{
     SweepError, SweepStats,
 };
 
-/// A Markdown table accumulated row by row and printed to stdout.
+/// A Markdown table accumulated row by row and rendered to a string.
 #[derive(Debug, Default)]
 pub struct Table {
     headers: Vec<String>,
@@ -115,17 +108,6 @@ impl Table {
         }
         out
     }
-
-    /// Prints the table as GitHub-flavoured Markdown.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// Prints an experiment header in the format EXPERIMENTS.md collates.
-pub fn section(id: &str, reproduces: &str, setup: &str) {
-    println!("\n## {id} — {reproduces}\n");
-    println!("{setup}\n");
 }
 
 /// Formats a float compactly for table cells.
@@ -147,8 +129,8 @@ mod tests {
     #[test]
     fn table_roundtrip() {
         let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["1", "2"]);
-        t.print(); // smoke: must not panic
+        t.row(vec!["10", "2"]);
+        assert_eq!(t.render(), "|  a | b |\n|----|---|\n| 10 | 2 |\n");
     }
 
     #[test]

@@ -1,14 +1,8 @@
 //! The sweep record schema, owned in one place: the `ResultSet` /
-//! `Record` model, its deterministic JSON/CSV renderers, the minimal
-//! hand-rolled JSON reader, and the parsed [`BaselineSet`] view keyed by
-//! [`CellKey`].
-//!
-//! Before this module existed, three call sites each hand-rolled a
-//! reader or renderer of the same schema — `compare` (a private JSON
-//! parser), `output` (the JSON/CSV writers), and `suite` (its report
-//! model) — which is exactly how schema drift is born. Everything that
-//! defines what a record *is* now lives here; `output` keeps only the
-//! flag plumbing, `compare` only the diff logic.
+//! `Record` model, its deterministic JSON/CSV/Markdown renderers, the
+//! minimal hand-rolled JSON reader, and the parsed [`BaselineSet`] view
+//! keyed by [`CellKey`]. Everything that defines what a record *is*
+//! lives here; `compare` keeps only the diff logic.
 //!
 //! Invariants this module owns:
 //!
@@ -215,9 +209,12 @@ impl ResultSet {
         out
     }
 
-    /// Prints one Markdown table per experiment (records grouped in
-    /// order, metric columns the sorted union within each group).
-    pub fn print_tables(&self) {
+    /// Renders one Markdown table per experiment, each followed by a
+    /// blank line (records grouped in order, metric columns the sorted
+    /// union within each group).
+    #[must_use]
+    pub fn render_tables(&self) -> String {
+        let mut out = String::new();
         let mut i = 0;
         while i < self.records.len() {
             let exp = &self.records[i].experiment;
@@ -260,10 +257,11 @@ impl ResultSet {
                 }
                 table.row(row);
             }
-            table.print();
-            println!();
+            out.push_str(&table.render());
+            out.push('\n');
             i = j;
         }
+        out
     }
 }
 
@@ -850,7 +848,16 @@ mod tests {
         let csv = set.to_csv();
         assert!(csv.starts_with("experiment,algo,adversary,backend,p,t,d,seeds,metric,value\n"));
         assert!(csv.contains("e17,da:3,stage,threads,4,16,2,2,mean_work,44"));
-        set.print_tables(); // smoke: backend column must not break width math
+        let tables = set.render_tables();
+        let lines: Vec<&str> = tables.lines().collect();
+        assert_eq!(lines.len(), 5, "header, rule, two rows, blank: {tables}");
+        assert!(
+            lines[0].starts_with("| algo | adversary | backend |"),
+            "{tables}"
+        );
+        assert!(lines[3].contains("| threads |"), "{tables}");
+        assert!(lines[3].contains(" 44.0 |"), "{tables}");
+        assert_eq!(lines[4], "");
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! assertions, and render an aggregated pass/fail report (optionally
 //! diffed against a committed baseline).
 //!
-//! This is the engine behind `doall test --suite <dir>` and the thin
-//! experiment loader in [`crate::experiments`]. Determinism contract:
-//! discovery sorts paths, cells are seeded from each scenario's own grid
-//! spec (never from file order or execution order), and the merged
-//! [`ResultSet`] is byte-identical across worker counts, shard sizes,
-//! and directory-listing order.
+//! This is the engine behind `doall test --suite <dir>`, which also
+//! prints each scenario's tables via [`render_sections`]. Determinism
+//! contract: discovery sorts paths, cells are seeded from each
+//! scenario's own grid spec (never from file order or execution order),
+//! and the merged [`ResultSet`] is byte-identical across worker counts,
+//! shard sizes, and directory-listing order.
 
 use crate::compare::Comparison;
 use crate::experiments::derive_by_name;
@@ -364,6 +364,35 @@ pub fn run_suite(scenarios: &[Scenario], cfg: &SuiteConfig) -> Result<SuiteRepor
     })
 }
 
+/// Renders the human view of a suite run, one section per scenario in
+/// `scenarios` order: a `## id — title` header, the setup line, a
+/// Markdown table of the scenario's records in `results`, and its notes.
+/// `threads`-backend rows carry measured values that differ from run to
+/// run, so this view is for reading, never for diffing.
+#[must_use]
+pub fn render_sections(scenarios: &[Scenario], results: &ResultSet) -> String {
+    let mut out = String::new();
+    for scn in scenarios {
+        let records = results
+            .records
+            .iter()
+            .filter(|r| r.experiment == scn.id)
+            .cloned()
+            .collect();
+        let tables = ResultSet {
+            mode: results.mode.clone(),
+            records,
+        }
+        .render_tables();
+        let _ = writeln!(
+            out,
+            "\n## {} — {}\n\n{}\n\n{tables}{}",
+            scn.id, scn.title, scn.setup, scn.notes
+        );
+    }
+    out
+}
+
 impl SuiteReport {
     /// Every assertion failure across the suite, in run order.
     pub fn failures(&self) -> impl Iterator<Item = &AssertionFailure> {
@@ -591,6 +620,51 @@ mod tests {
         assert!(json.contains("\"clean\": false"));
         assert!(json.contains("\"id\": \"b\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn sections_render_each_scenario_with_its_table_and_prose() {
+        let a = scenario(
+            "id = a\ntitle = Alpha\nsetup = alpha setup\nnotes = alpha notes\n\
+             grid = algos=soloall,paran1 advs=unit shapes=2x4 ds=1 seeds=1 seed=0\n\
+             assert work >= t\n",
+        );
+        let b = scenario(
+            "id = b\ntitle = Beta\nsetup = beta setup\nnotes = beta notes\n\
+             grid = algos=paran1 advs=unit backends=sim,threads shapes=2x4 ds=1 seeds=1 \
+             seed=0\n\
+             assert work >= t\n",
+        );
+        let scenarios = [a, b];
+        let report = run_suite(&scenarios, &smoke_cfg()).unwrap();
+        let text = render_sections(&scenarios, &report.results);
+        let starts: Vec<usize> = text.match_indices("\n## ").map(|(i, _)| i).collect();
+        assert_eq!(starts.len(), 2, "{text}");
+        let sections = [&text[starts[0]..starts[1]], &text[starts[1]..]];
+        for (section, scn) in sections.iter().zip(&scenarios) {
+            let head = format!("\n## {} — {}\n\n{}\n\n|", scn.id, scn.title, scn.setup);
+            assert!(section.starts_with(&head), "{section}");
+            assert!(
+                section.ends_with(&format!("\n\n{}\n", scn.notes)),
+                "{section}"
+            );
+            let rows = report
+                .results
+                .records
+                .iter()
+                .filter(|r| r.experiment == scn.id)
+                .count();
+            let table_lines = section.lines().filter(|l| l.starts_with('|')).count();
+            assert_eq!(table_lines, 2 + rows, "header + rule + rows: {section}");
+            let rules = section.lines().filter(|l| l.starts_with("|-")).count();
+            assert_eq!(rules, 1, "one table per section: {section}");
+        }
+        assert!(sections[0].lines().all(|l| !l.contains("threads")));
+        assert!(sections[1].contains("| threads |"), "{}", sections[1]);
+        let report_text = report.render_table();
+        for needle in ["## ", "Alpha", "beta setup", "beta notes", "threads"] {
+            assert!(!report_text.contains(needle), "{report_text}");
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::grid::{
     build_adversary, build_algorithm, AdversarySpec, Backend, Cell, GridError, ALGO_NONE,
 };
+use crate::suite::cell_label;
 use doall_core::Instance;
 use doall_runtime::{Runtime, RuntimeConfig};
 use doall_sim::analysis::{execution_profile, summarize, BatchSummary, ProfilePartial};
@@ -205,7 +206,7 @@ impl CellMeasurement {
     /// single definition of the measured half of the output schema
     /// (`mean/median/max work` & `messages`, `completed`, and the traced
     /// execution-profile means where present). Every producer of
-    /// [`crate::output::Record`]s starts from this map so CLI sweeps,
+    /// [`crate::resultset::Record`]s starts from this map so CLI sweeps,
     /// experiment runs, and tests cannot drift apart.
     #[must_use]
     pub fn metrics(&self) -> std::collections::BTreeMap<String, f64> {
@@ -294,15 +295,6 @@ struct ThreadsProbe {
     /// Scheduled crashes whose step budget actually fired (a run can
     /// complete before a late budget is reached).
     crashes_fired: u64,
-}
-
-/// The `algo vs adversary p= t= d=` rendering error messages use for a
-/// cell.
-fn cell_label(cell: &Cell) -> String {
-    format!(
-        "{} vs {} p={} t={} d={}",
-        cell.algo, cell.adversary, cell.p, cell.t, cell.d
-    )
 }
 
 /// The shard size the engine actually uses for a sweep of `cell_count`
@@ -1067,7 +1059,27 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SweepError::Incomplete { .. }), "{err}");
-        assert!(err.to_string().contains("max-ticks"));
+        let msg = err.to_string();
+        for needle in ["max-ticks", "backend=sim", "seed=0x"] {
+            assert!(msg.contains(needle), "`{msg}` lacks `{needle}`");
+        }
+    }
+
+    #[test]
+    fn trace_on_a_threads_cell_fails_before_any_run() {
+        let cells = Grid::parse("algos=paran1 advs=unit backends=threads shapes=2x4 ds=1")
+            .unwrap()
+            .cells();
+        let err = run_cells(
+            &cells,
+            &SweepConfig {
+                trace: true,
+                ..SweepConfig::default()
+            },
+        )
+        .unwrap_err();
+        assert!(matches!(err, SweepError::TraceThreads { .. }), "{err}");
+        assert!(err.to_string().contains("backend=threads"), "{err}");
     }
 
     #[test]

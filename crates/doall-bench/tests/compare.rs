@@ -4,9 +4,9 @@
 //! output is byte-identical no matter how many threads produced either
 //! side (the determinism guarantee extends from results to diffs).
 
-use doall_bench::compare::{compare, parse_result_set, BaselineSet, CellStatus, Comparison};
+use doall_bench::compare::{compare, CellStatus, Comparison};
 use doall_bench::grid::Grid;
-use doall_bench::output::{Record, ResultSet};
+use doall_bench::resultset::{parse_result_set, BaselineSet, Record, ResultSet};
 use doall_bench::sweep::{run_cells, SweepConfig};
 
 fn results(grid: &Grid, threads: usize) -> ResultSet {

@@ -5,11 +5,11 @@
 //! its absolute index (not execution order), and per-shard results are
 //! merged back in replicate order — so every `--threads` × `--shard-size`
 //! combination must render byte-identical JSON/CSV, trace mode included.
-//! These tests run the library path the binaries' flags feed into.
+//! These tests run the library path the `doall` CLI's flags feed into.
 
 use doall_bench::compare::MEASURED_ONLY_METRICS;
 use doall_bench::grid::{Backend, Grid};
-use doall_bench::output::{Record, ResultSet};
+use doall_bench::resultset::{Record, ResultSet};
 use doall_bench::sweep::{run_cells, run_cells_with_stats, SweepConfig};
 
 fn render_with(grid: &Grid, cfg: &SweepConfig) -> (String, String) {

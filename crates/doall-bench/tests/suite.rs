@@ -4,7 +4,8 @@
 //! across worker counts, shard sizes, and directory-listing order, and
 //! the `examples/lb_stage.scn` walkthrough scenario runs clean.
 
-use doall_bench::compare::{compare, parse_result_set, BaselineSet};
+use doall_bench::compare::compare;
+use doall_bench::resultset::{parse_result_set, BaselineSet};
 use doall_bench::scenarios_dir;
 use doall_bench::suite::{load_dir, load_file, run_scenario, run_suite, SuiteConfig};
 use std::path::PathBuf;

@@ -24,8 +24,8 @@
 //!   in-process channel router ([`transport::ChannelTransport`]); the
 //!   narrow surface is the seam for a future socket transport.
 //! - [`fault`] — the crash-failure model: validated step budgets
-//!   ([`fault::CrashSchedule`]), the `crash:<pct>`-style fraction bridge,
-//!   and engine-side accounting ([`RuntimeStats`]).
+//!   ([`fault::CrashSchedule`]) and engine-side accounting
+//!   ([`RuntimeStats`]).
 //!
 //! The entry point is the builder-style [`Runtime`] facade:
 //!
@@ -151,7 +151,6 @@ impl Runtime {
         RuntimeBuilder {
             config,
             body: Arc::new(|_| {}),
-            crash_fraction: None,
             pace_overrides: Vec::new(),
         }
     }
@@ -171,13 +170,12 @@ impl Runtime {
     }
 }
 
-/// Builder for [`Runtime`]: optional task body, crash fraction, and
-/// per-processor pacing on top of a [`RuntimeConfig`].
+/// Builder for [`Runtime`]: optional task body and per-processor pacing
+/// on top of a [`RuntimeConfig`].
 #[derive(Clone)]
 pub struct RuntimeBuilder {
     config: RuntimeConfig,
     body: Arc<TaskBody>,
-    crash_fraction: Option<f64>,
     pace_overrides: Vec<Option<Duration>>,
 }
 
@@ -185,7 +183,6 @@ impl std::fmt::Debug for RuntimeBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuntimeBuilder")
             .field("config", &self.config)
-            .field("crash_fraction", &self.crash_fraction)
             .field("pace_overrides", &self.pace_overrides)
             .finish_non_exhaustive()
     }
@@ -198,17 +195,6 @@ impl RuntimeBuilder {
     #[must_use]
     pub fn tasks(mut self, body: Arc<TaskBody>) -> Self {
         self.body = body;
-        self
-    }
-
-    /// Crashes `round(fraction · p)` processors (capped at `p − 1`) with
-    /// staggered step budgets — the wall-clock analogue of the sweep
-    /// grid's `crash:<pct>` axis. Mutually exclusive with an explicit
-    /// `crash_after_steps` list in the config; the fraction is validated
-    /// at [`Self::build`] time, not mid-run.
-    #[must_use]
-    pub fn crash_fraction(mut self, fraction: f64) -> Self {
-        self.crash_fraction = Some(fraction);
         self
     }
 
@@ -227,12 +213,8 @@ impl RuntimeBuilder {
     ///
     /// - [`RuntimeError::NoProcessors`] if `procs` is empty (`p = 0`);
     /// - [`RuntimeError::ProcessCount`] if `procs.len()` ≠ `p`;
-    /// - [`RuntimeError::CrashFraction`] if a crash fraction is NaN or
-    ///   outside `[0, 1]`;
-    /// - [`RuntimeError::CrashConflict`] if both a fraction and explicit
-    ///   budgets were given;
     /// - [`RuntimeError::CrashBudgetLength`] / [`RuntimeError::AllCrashed`]
-    ///   for an ill-formed explicit budget list;
+    ///   for an ill-formed crash budget list;
     /// - [`RuntimeError::PaceLength`] if a nonempty pace-override list
     ///   does not cover every processor.
     pub fn build(
@@ -250,15 +232,7 @@ impl RuntimeBuilder {
                 got: procs.len(),
             });
         }
-        let schedule = match self.crash_fraction {
-            Some(fraction) => {
-                if !self.config.crash_after_steps.is_empty() {
-                    return Err(RuntimeError::CrashConflict);
-                }
-                CrashSchedule::from_fraction(p, fraction)?
-            }
-            None => CrashSchedule::from_budgets(self.config.crash_after_steps.clone(), p)?,
-        };
+        let schedule = CrashSchedule::from_budgets(self.config.crash_after_steps.clone(), p)?;
         if !self.pace_overrides.is_empty() && self.pace_overrides.len() != p {
             return Err(RuntimeError::PaceLength {
                 expected: p,
@@ -533,41 +507,6 @@ mod tests {
                 got: 2
             }
         );
-    }
-
-    #[test]
-    fn out_of_range_crash_fraction_is_rejected() {
-        let instance = Instance::new(4, 8).unwrap();
-        for bad in [-0.5, 1.5, f64::NAN] {
-            let err = Runtime::builder(RuntimeConfig::default())
-                .crash_fraction(bad)
-                .run(instance, sweeps(4, 8))
-                .unwrap_err();
-            assert!(
-                matches!(err, RuntimeError::CrashFraction(_)),
-                "fraction {bad} gave {err}"
-            );
-        }
-        // And a legal fraction still completes (processor 0 survives).
-        let outcome = Runtime::builder(RuntimeConfig::default())
-            .crash_fraction(0.5)
-            .run(instance, sweeps(4, 8))
-            .unwrap();
-        assert!(outcome.report.completed);
-    }
-
-    #[test]
-    fn crash_fraction_conflicts_with_explicit_budgets() {
-        let instance = Instance::new(2, 2).unwrap();
-        let config = RuntimeConfig {
-            crash_after_steps: vec![None, Some(1)],
-            ..Default::default()
-        };
-        let err = Runtime::builder(config)
-            .crash_fraction(0.5)
-            .run(instance, sweeps(2, 2))
-            .unwrap_err();
-        assert_eq!(err, RuntimeError::CrashConflict);
     }
 
     #[test]

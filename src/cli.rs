@@ -9,7 +9,8 @@
 //! * `test`     — run a directory of declarative `*.scn` scenario files
 //!   through the suite runner: grids execute on the sweep engine, each
 //!   scenario's `assert` lines are evaluated, and an aggregated
-//!   pass/fail table is rendered (optionally diffed against a baseline);
+//!   pass/fail table is rendered (optionally diffed against a baseline),
+//!   with each scenario's tables on stderr;
 //! * `compare`  — diff two sweep-result JSON files cell by cell;
 //! * `lint`     — run the determinism-preserving static analysis over
 //!   the workspace sources (rules D001–D004, H001–H002; see
@@ -29,15 +30,13 @@ use crate::bounds;
 use crate::perms::Schedules;
 use crate::sim::{Adversary, Simulation};
 use crate::Instance;
-use doall_bench::compare::{
-    compare, compare_files, load_result_set, preserve_measured_values, BaselineSet,
-};
+use doall_bench::compare::{compare, compare_files, preserve_measured_values};
 use doall_bench::grid::{
     build_adversary, build_algorithm, validate_adversary_key, validate_algo_key, AdversarySpec,
     Grid,
 };
-use doall_bench::output::{emit, Flags, Format, Record, ResultSet};
-use doall_bench::suite::{load_dir, run_suite, SuiteConfig};
+use doall_bench::resultset::{load_result_set, BaselineSet, Record, ResultSet};
+use doall_bench::suite::{load_dir, render_sections, run_suite, SuiteConfig};
 use doall_bench::sweep::{run_cells, SweepConfig};
 use std::fmt;
 use std::path::Path;
@@ -92,8 +91,19 @@ pub enum Command {
     Help,
 }
 
+/// Output format of `sweep`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// Human-readable Markdown tables (the default).
+    Table,
+    /// Deterministic JSON (see [`ResultSet::to_json`]).
+    Json,
+    /// Long-format CSV (see [`ResultSet::to_csv`]).
+    Csv,
+}
+
 /// Parameters of the `sweep` subcommand: a grid plus execution/output
-/// options shared with `all_experiments`.
+/// options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The scenario grid to run.
@@ -274,8 +284,13 @@ scenario's smoke grids; --baseline diffs the merged records against a
 committed result set, and --record regenerates that file from the run
 instead (same deterministic renderer the baselines were committed
 with, so an unchanged suite regenerates the committed bytes exactly;
-refused while assertions fail). Assertion failures and baseline drift
-exit 1; unreadable suites or malformed scenarios exit 2. The committed
+refused while assertions fail). The report on stdout (or --out) is
+byte-identical across --threads and --shard-size. stderr carries the
+human view: per scenario a `## id — title` section with its setup
+line, a Markdown table of its records, and its notes (threads rows
+vary from run to run), then, when --baseline drifts, the full
+`compare` drift table. Assertion failures and baseline drift exit 1;
+unreadable suites or malformed scenarios exit 2. The committed
 scenarios/ directory is the paper's experiment suite (e01–e17).
 
 `lint` runs the hand-rolled determinism-preserving static analysis
@@ -405,10 +420,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         }
                         max_ticks = Some(n);
                     }
-                    // Same semantics as the all_experiments flag
-                    // parser (doall_bench::output::parse_flags): the two
-                    // formats conflict, and --out without a format means
-                    // JSON (a file of Markdown tables is never the ask).
+                    // The two formats conflict, and --out without a
+                    // format means JSON (a file of Markdown tables is
+                    // never the ask).
                     "--json" => {
                         if format == Format::Csv {
                             return Err(err("--json conflicts with --csv"));
@@ -753,9 +767,24 @@ impl RunSpec {
     }
 }
 
-/// Executes a parsed command, writing human-readable output to stdout.
-/// Baseline-comparison diffs from `sweep --compare` go to stderr (stdout
-/// may already carry the results).
+/// Writes a command's rendered output to its `--out` file, or to stdout
+/// when no file was given.
+fn write_out(rendered: &str, out: Option<&str>) -> Result<(), CliError> {
+    match out {
+        Some(path) => {
+            std::fs::write(path, rendered).map_err(|e| err(format!("cannot write {path}: {e}")))
+        }
+        None => {
+            print!("{rendered}");
+            Ok(())
+        }
+    }
+}
+
+/// Executes a parsed command, writing its output to stdout (or `--out`).
+/// Human-only views go to stderr: the baseline diffs of
+/// `sweep --compare` and `test --baseline`, and the per-scenario tables
+/// of `test`.
 ///
 /// # Errors
 ///
@@ -829,15 +858,12 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 mode: "custom".to_string(),
                 records,
             };
-            let flags = Flags {
-                format: spec.format,
-                out: spec.out.clone(),
-                ..Flags::default()
+            let rendered = match spec.format {
+                Format::Table => format!("sweep | {}\n{}", spec.grid, results.render_tables()),
+                Format::Json => results.to_json(),
+                Format::Csv => results.to_csv(),
             };
-            if spec.format == Format::Table {
-                println!("sweep | {}", spec.grid);
-            }
-            emit(&results, &flags).map_err(err)?;
+            write_out(&rendered, spec.out.as_deref())?;
             if let Some(baseline_path) = &spec.compare {
                 let baseline = load_result_set(baseline_path).map_err(|e| err(e.to_string()))?;
                 let current = BaselineSet::of(&results);
@@ -869,6 +895,10 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 max_ticks: spec.max_ticks,
             };
             let mut report = run_suite(&scenarios, &cfg).map_err(err)?;
+            // The human tables go to stderr: their `threads` rows vary
+            // from run to run, and stdout / --out must stay
+            // byte-deterministic.
+            eprint!("{}", render_sections(&scenarios, &report.results));
             if let Some(baseline_path) = &spec.baseline {
                 if spec.record {
                     // Regenerate the baseline from this run — but never
@@ -893,7 +923,11 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                     let baseline =
                         load_result_set(baseline_path).map_err(|e| err(e.to_string()))?;
                     let current = BaselineSet::of(&report.results);
-                    report.comparison = Some(compare(&baseline, &current, spec.tolerance));
+                    let comparison = compare(&baseline, &current, spec.tolerance);
+                    if !comparison.is_clean() {
+                        eprint!("{}", comparison.render_text());
+                    }
+                    report.comparison = Some(comparison);
                 }
             }
             let rendered = if spec.json {
@@ -901,11 +935,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             } else {
                 report.render_table()
             };
-            match &spec.out {
-                Some(path) => std::fs::write(path, rendered)
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?,
-                None => print!("{rendered}"),
-            }
+            write_out(&rendered, spec.out.as_deref())?;
             Ok(if report.is_clean() {
                 Outcome::Clean
             } else {
@@ -920,11 +950,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             } else {
                 comparison.render_text()
             };
-            match &spec.out {
-                Some(path) => std::fs::write(path, rendered)
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?,
-                None => print!("{rendered}"),
-            }
+            write_out(&rendered, spec.out.as_deref())?;
             Ok(if comparison.is_clean() {
                 Outcome::Clean
             } else {
@@ -955,11 +981,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             } else {
                 report.render_text()
             };
-            match &spec.out {
-                Some(path) => std::fs::write(path, rendered)
-                    .map_err(|e| err(format!("cannot write {path}: {e}")))?,
-                None => print!("{rendered}"),
-            }
+            write_out(&rendered, spec.out.as_deref())?;
             Ok(if report.is_clean() {
                 Outcome::Clean
             } else {
@@ -1487,6 +1509,32 @@ mod tests {
             other => panic!("wrong command: {other:?}"),
         }
         assert!(parse(&args("sweep --algo soloall -p 2 -t 4 --tolerance x")).is_err());
+    }
+
+    #[test]
+    fn execute_sweep_writes_the_selected_format_to_out() {
+        let path = std::env::temp_dir().join(format!("doall_cli_sweep_out_{}", std::process::id()));
+        let path = path.to_str().unwrap().to_string();
+        let csv = format!("sweep --algo soloall -p 2 -t 4 -d 1 --csv --out {path}");
+        assert_eq!(
+            execute(&parse(&args(&csv)).unwrap()).unwrap(),
+            Outcome::Clean
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.starts_with("experiment,algo,adversary,p,t,d,seeds,metric,value\n"),
+            "{text}"
+        );
+        // --out alone means JSON, which reads back as a result set.
+        let json = format!("sweep --algo soloall -p 2 -t 4 -d 1 --out {path}");
+        assert_eq!(
+            execute(&parse(&args(&json)).unwrap()).unwrap(),
+            Outcome::Clean
+        );
+        let set = load_result_set(&path).unwrap();
+        assert_eq!(set.mode, "custom");
+        assert_eq!(set.cells.len(), 1);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
