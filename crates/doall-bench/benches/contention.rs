@@ -2,16 +2,16 @@
 //! of certifying a schedule list.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use doall_perms::{contention_exact, d_contention_estimate, Schedules};
+use doall_perms::{d_contention_estimate, d_contention_exact, Schedules};
 use std::hint::black_box;
 
 fn bench_exact(c: &mut Criterion) {
-    let mut group = c.benchmark_group("contention_exact");
+    let mut group = c.benchmark_group("d_contention_exact");
     group.sample_size(20);
-    for q in [4usize, 5, 6] {
+    for q in [4usize, 6, 8] {
         let sched = Schedules::random(q, q, 0);
-        group.bench_function(format!("q={q}"), |bench| {
-            bench.iter(|| black_box(contention_exact(sched.as_slice())));
+        group.bench_function(format!("q={q}/d=1"), |bench| {
+            bench.iter(|| black_box(d_contention_exact(sched.as_slice(), 1)));
         });
     }
     group.finish();

@@ -19,7 +19,7 @@ use crate::grid::{schedules_for_algo, Cell, ALGO_NONE};
 use doall_algorithms::Da;
 use doall_bounds::{da_epsilon, da_upper_bound, lower_bound_work, oblivious_work, pa_upper_bound};
 use doall_core::Instance;
-use doall_perms::{contention_exact, d_contention_of_list, dcont_threshold, search, Schedules};
+use doall_perms::{d_contention_exact, d_contention_of_list, dcont_threshold, search, Schedules};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -67,7 +67,7 @@ fn d_contention_lemmas(cell: &Cell, m: &mut BTreeMap<String, f64>) {
         // `assert primary <= cont` line, not a panic here.
         let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
             .expect("oblido keys carry schedules");
-        let cont = contention_exact(sched.as_slice()) as f64;
+        let cont = d_contention_exact(sched.as_slice(), 1) as f64;
         m.insert("cont".to_string(), cont);
         m.insert("total_nn".to_string(), (n * n) as f64);
     }
@@ -95,7 +95,7 @@ fn da_q_of(cell: &Cell) -> usize {
 fn da_eps_of(cell: &Cell, m: &mut BTreeMap<String, f64>) -> f64 {
     let q = da_q_of(cell);
     let da = Da::with_default_schedules(q, cell.run_seed(0));
-    let cont = contention_exact(da.schedules().as_slice());
+    let cont = d_contention_exact(da.schedules().as_slice(), 1);
     let eps = da_epsilon(q, cont).max(0.05);
     m.insert("cont".to_string(), cont as f64);
     m.insert("epsilon".to_string(), eps);

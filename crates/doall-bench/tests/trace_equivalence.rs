@@ -1,4 +1,4 @@
-//! Property tests for the PR's two "must not perturb results" claims:
+//! Property tests for three "must not perturb results" claims:
 //!
 //! 1. **Tracing is an observer.** A run built with `TraceMode::Off`
 //!    (the monomorphized trace-free loop) and the same run built with
@@ -10,11 +10,15 @@
 //!    byte-identical to constructing a fresh `Simulation` per replicate —
 //!    and the sweep engine built on it is byte-identical across
 //!    `--threads {1, 8}` × `--shard-size {1, auto}`.
+//! 3. **`Delivery::UniformBroadcast` is recipient-oblivious.** Every
+//!    adversary that declares it (and so runs on the broadcast bus) gives
+//!    the same [`RunReport`] when a wrapper forces the per-recipient
+//!    mailbox engine.
 
 use doall_bench::grid::{build_adversary, build_algorithm, AdversarySpec, Grid};
 use doall_bench::sweep::{run_cells, SweepConfig};
-use doall_core::{Instance, RunReport};
-use doall_sim::{Simulation, TraceMode};
+use doall_core::{DoAllProcess, Instance, ProcId, RunReport};
+use doall_sim::{Adversary, Delivery, Mailboxes, SimView, Simulation, TraceMode};
 use proptest::prelude::*;
 
 /// Algorithm keys that exercise every messaging pattern: broadcast-free,
@@ -37,7 +41,33 @@ const ADVS: &[&str] = &[
     "straggler:50:2",
 ];
 
+/// How many keys at the head of [`ADVS`] declare `UniformBroadcast`.
+const UNIFORM: usize = 4;
+
 const MAX_TICKS: u64 = 200_000;
+
+/// Delegates every power of the wrapped adversary but keeps the default
+/// `Delivery::PerRecipient`, so the simulator takes the mailbox engine.
+struct ForcePerRecipient(Box<dyn Adversary>);
+
+impl Adversary for ForcePerRecipient {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn schedule(
+        &mut self,
+        view: &SimView<'_>,
+        procs: &[Box<dyn DoAllProcess>],
+        mailboxes: &Mailboxes,
+    ) -> Vec<bool> {
+        self.0.schedule(view, procs, mailboxes)
+    }
+
+    fn message_delay(&mut self, view: &SimView<'_>, from: ProcId, to: ProcId) -> u64 {
+        self.0.message_delay(view, from, to)
+    }
+}
 
 fn run_with(
     algo: &str,
@@ -60,6 +90,21 @@ fn run_with(
         .build()
         .run_traced();
     (report, trace_out.is_some())
+}
+
+/// The property below compares the bus with the mailbox engine only if
+/// the keys it draws really run on the bus.
+#[test]
+fn uniform_adversaries_declare_uniform_broadcast() {
+    for (i, adv) in ADVS.iter().enumerate() {
+        let spec = AdversarySpec::parse(adv).expect("valid adversary key");
+        let delivery = build_adversary(&spec, 8, 32, 4, 0, MAX_TICKS).delivery();
+        assert_eq!(
+            delivery == Delivery::UniformBroadcast,
+            i < UNIFORM,
+            "{adv} declares {delivery:?}"
+        );
+    }
 }
 
 proptest! {
@@ -86,6 +131,39 @@ proptest! {
         prop_assert!(!had_trace_off);
         prop_assert!(had_trace_buf);
         prop_assert_eq!(off, buffered, "tracing perturbed {}/{}", algo, adv);
+    }
+
+    /// Claim 3: an adversary declaring `UniformBroadcast` yields the same
+    /// report on the bus as on the forced per-recipient engine.
+    #[test]
+    fn uniform_broadcast_equals_forced_per_recipient(
+        algo_idx in 0..ALGOS.len(),
+        adv_idx in 0..UNIFORM,
+        p in 2usize..=12,
+        t_mult in 1usize..=6,
+        d in 1u64..=6,
+        seed in 0u64..1_000,
+    ) {
+        let (algo, adv) = (ALGOS[algo_idx], ADVS[adv_idx]);
+        let t = p * t_mult;
+        let instance = Instance::new(p, t).expect("valid shape");
+        let spec = AdversarySpec::parse(adv).expect("valid adversary key");
+        let adversary = || build_adversary(&spec, p, t, d, seed, MAX_TICKS);
+        let run = |adversary: Box<dyn Adversary>| {
+            Simulation::builder(instance)
+                .procs(
+                    build_algorithm(algo, instance, seed)
+                        .expect("valid algo key")
+                        .spawn(instance),
+                )
+                .adversary(adversary)
+                .max_ticks(MAX_TICKS)
+                .build()
+                .run()
+        };
+        let bus = run(adversary());
+        let per_recipient = run(Box::new(ForcePerRecipient(adversary())));
+        prop_assert_eq!(bus, per_recipient, "the bus perturbed {}/{}", algo, adv);
     }
 
     /// Claim 2a: the recycled-arena `run_batch` equals per-replicate

@@ -32,9 +32,10 @@
 //! One call to `step` is one local step and therefore one unit of work. A
 //! step may perform at most one task **and** submit at most one broadcast;
 //! folding the broadcast submission into the performing step keeps measured
-//! work directly comparable to the `(d)`-contention bound of Lemma 6.1 (see
-//! DESIGN.md §4 for the discussion). Processing the inbox is free within the
-//! step, matching the paper's "unit of work to process multiple received
+//! work directly comparable to the `(d)`-contention bound of Lemma 6.1,
+//! which counts task executions only; a separate sending step would be work
+//! outside that bound. Processing the inbox is free within the step,
+//! matching the paper's "unit of work to process multiple received
 //! messages".
 
 #![forbid(unsafe_code)]

@@ -14,12 +14,11 @@
 //! * [`lrm`] — left-to-right maxima of a schedule.
 //! * [`d_lrm`] — the paper's generalization: `π(j)` is a
 //!   *d-left-to-right maximum* if fewer than `d` earlier elements exceed it.
-//! * [`contention_of_list`] — `Cont(Σ, ϱ) = Σ_u lrm(ϱ⁻¹ ∘ π_u)` and
-//!   `Cont(Σ) = max_ϱ Cont(Σ, ϱ)` (Anderson & Woll); drives the work bound
-//!   of the tree algorithm DA (Theorem 5.4).
-//! * [`d_contention_of_list`] — `(d)-Cont(Σ)`, the delay-sensitive
-//!   generalization; `(d)-Cont(Σ)` bounds the work of the schedule
-//!   algorithms PaDet/PaRan1 against any `d`-adversary (Lemma 6.1).
+//! * [`d_contention_of_list`] — `(d)-Cont(Σ, ϱ) = Σ_u (d)-lrm(ϱ⁻¹ ∘ π_u)`
+//!   and `(d)-Cont(Σ) = max_ϱ (d)-Cont(Σ, ϱ)`, which bounds the work of the
+//!   schedule algorithms PaDet/PaRan1 against any `d`-adversary
+//!   (Lemma 6.1). Its `d = 1` case is Anderson & Woll's `Cont(Σ)`, which
+//!   drives the work bound of the tree algorithm DA (Theorem 5.4).
 //! * [`search`] — certified low-contention schedule lists: exhaustive for
 //!   tiny `q`, hill-climbing with exact certification up to `q = 8`
 //!   (Lemma 4.1 guarantees lists with `Cont(Σ) ≤ 3qH_q` exist), and random
@@ -33,7 +32,6 @@
 #![warn(missing_debug_implementations)]
 
 mod contention;
-mod dcontention;
 mod harmonic;
 mod lrm;
 mod permutation;
@@ -41,9 +39,6 @@ pub mod search;
 pub mod structured;
 
 pub use contention::{
-    contention_estimate, contention_exact, contention_of_list, contention_wrt, ContentionEstimate,
-};
-pub use dcontention::{
     d_contention_estimate, d_contention_exact, d_contention_of_list, d_contention_wrt,
     dcont_threshold, DContentionEstimate,
 };

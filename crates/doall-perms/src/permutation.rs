@@ -162,9 +162,10 @@ impl Permutation {
     /// Iterator over all `n!` permutations of `[n]` in lexicographic order
     /// of image vectors.
     ///
-    /// Intended for the exact contention evaluation of small `n` (`n ≤ 8`
-    /// stays under 41k permutations); the iterator is lazy so callers may
-    /// also take prefixes.
+    /// Used by the exhaustive schedule-list search
+    /// ([`crate::search::exhaustive_min_contention`], `n ≤ 4`) and as the
+    /// brute-force oracle that tests check exact contention against; the
+    /// iterator is lazy so callers may also take prefixes.
     ///
     /// # Panics
     ///

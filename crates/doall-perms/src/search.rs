@@ -18,8 +18,7 @@
 //! The dispatching constructor [`low_contention_list`] picks the strongest
 //! affordable method.
 
-use crate::contention::{contention_exact, contention_of_list, ContentionEstimate};
-use crate::dcontention::d_contention_of_list;
+use crate::contention::{d_contention_exact, d_contention_of_list, DContentionEstimate};
 use crate::harmonic;
 use crate::{PermError, Permutation};
 use rand::rngs::StdRng;
@@ -129,16 +128,10 @@ impl Schedules {
         &self.perms
     }
 
-    /// Contention of this list (exact for `n ≤ 8`, estimated otherwise).
-    #[must_use]
-    pub fn contention(&self) -> ContentionEstimate {
-        contention_of_list(&self.perms)
-    }
-
     /// `d`-contention of this list for each `d` in `ds` (exact for
-    /// `n ≤ 8`, estimated otherwise).
+    /// `n ≤ 8`, estimated otherwise); `d = 1` is `Cont(Σ)`.
     #[must_use]
-    pub fn d_contention_profile(&self, ds: &[usize]) -> Vec<crate::DContentionEstimate> {
+    pub fn d_contention_profile(&self, ds: &[usize]) -> Vec<DContentionEstimate> {
         ds.iter()
             .map(|&d| d_contention_of_list(&self.perms, d))
             .collect()
@@ -187,7 +180,7 @@ fn search_lists(
     best: &mut Option<(Vec<Permutation>, usize)>,
 ) {
     if stack.len() == q {
-        let value = contention_exact(stack);
+        let value = d_contention_exact(stack, 1);
         if best.as_ref().is_none_or(|(_, b)| value < *b) {
             *best = Some((stack.clone(), value));
         }
@@ -204,8 +197,9 @@ fn search_lists(
 /// of `[q]`, with **exact** contention certification of the result.
 ///
 /// Moves are transpositions within a single schedule; `restarts`
-/// independent starts, first-improvement descent. Affordable up to
-/// `q = 8` (each exact evaluation enumerates `q! ≤ 40320` references).
+/// independent starts, first-improvement descent. Each evaluation is the
+/// `O(2^q · q²)` subset recurrence of [`d_contention_exact`] at `d = 1`;
+/// `q` stops at 8, the exact range of [`d_contention_of_list`].
 ///
 /// # Panics
 ///
@@ -222,7 +216,7 @@ pub fn hill_climb_low_contention(q: usize, seed: u64, restarts: usize) -> (Sched
     for _ in 0..restarts.max(1) {
         let mut current: Vec<Permutation> =
             (0..q).map(|_| Permutation::random(q, &mut rng)).collect();
-        let mut value = contention_exact(&current);
+        let mut value = d_contention_exact(&current, 1);
         // First-improvement descent with a bounded stall budget.
         let mut stall = 0usize;
         let budget = 8 * q * q;
@@ -235,7 +229,7 @@ pub fn hill_climb_low_contention(q: usize, seed: u64, restarts: usize) -> (Sched
                 continue;
             }
             current[u].swap_positions(i, j);
-            let v = contention_exact(&current);
+            let v = d_contention_exact(&current, 1);
             if v < value {
                 value = v;
                 stall = 0;
@@ -267,32 +261,22 @@ pub fn hill_climb_low_contention(q: usize, seed: u64, restarts: usize) -> (Sched
 ///
 /// Panics if `q < 2`.
 #[must_use]
-pub fn low_contention_list(q: usize, seed: u64) -> (Schedules, ContentionEstimate) {
+pub fn low_contention_list(q: usize, seed: u64) -> (Schedules, DContentionEstimate) {
     assert!(q >= 2, "DA(q) requires q ≥ 2");
+    let certified = |(s, value): (Schedules, usize)| {
+        let c = DContentionEstimate {
+            d: 1,
+            value,
+            exact: true,
+        };
+        (s, c)
+    };
     match q {
-        2..=3 => {
-            let (s, v) = exhaustive_min_contention(q);
-            (
-                s,
-                ContentionEstimate {
-                    value: v,
-                    exact: true,
-                },
-            )
-        }
-        4..=8 => {
-            let (s, v) = hill_climb_low_contention(q, seed, 3);
-            (
-                s,
-                ContentionEstimate {
-                    value: v,
-                    exact: true,
-                },
-            )
-        }
+        2..=3 => certified(exhaustive_min_contention(q)),
+        4..=8 => certified(hill_climb_low_contention(q, seed, 3)),
         _ => {
             let s = Schedules::random(q, q, seed);
-            let c = s.contention();
+            let c = d_contention_of_list(s.as_slice(), 1);
             (s, c)
         }
     }
@@ -319,7 +303,7 @@ mod tests {
         // For q = 2: the best list pairs the two orders; Cont = 3
         // (one schedule contributes 2, the other 1, whatever ϱ is).
         assert_eq!(v, 3);
-        assert_eq!(contention_exact(s.as_slice()), 3);
+        assert_eq!(d_contention_exact(s.as_slice(), 1), 3);
     }
 
     #[test]
@@ -334,7 +318,11 @@ mod tests {
     #[test]
     fn hill_climb_q4_certified() {
         let (s, v) = hill_climb_low_contention(4, 1, 2);
-        assert_eq!(contention_exact(s.as_slice()), v, "certificate is exact");
+        assert_eq!(
+            d_contention_exact(s.as_slice(), 1),
+            v,
+            "certificate is exact"
+        );
         assert!(v as f64 <= lemma41_bound(4), "{v} vs {}", lemma41_bound(4));
     }
 
@@ -363,7 +351,7 @@ mod tests {
     #[test]
     fn worst_list_has_maximal_contention() {
         let s = Schedules::worst(3, 3);
-        assert_eq!(contention_exact(s.as_slice()), 9);
+        assert_eq!(d_contention_exact(s.as_slice(), 1), 9);
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn next_prime(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contention_exact;
+    use crate::d_contention_exact;
 
     #[test]
     fn rotations_are_valid_permutations() {
@@ -133,7 +133,7 @@ mod tests {
         // schedule u has n − offset left-to-right maxima — Θ(n·p) total.
         let n = 6;
         let s = rotation_schedules(n, n);
-        let c = contention_exact(s.as_slice());
+        let c = d_contention_exact(s.as_slice(), 1);
         assert!(
             c >= n * n / 2,
             "rotations are a bad list: Cont = {c} should be Ω(n²/2)"
@@ -181,8 +181,8 @@ mod tests {
         // Varying sweep directions should land well below the rotation
         // list's near-maximal contention.
         let n = 7;
-        let rot = contention_exact(rotation_schedules(n, n).as_slice());
-        let aff = contention_exact(affine_schedules(n, n, 1).unwrap().as_slice());
+        let rot = d_contention_exact(rotation_schedules(n, n).as_slice(), 1);
+        let aff = d_contention_exact(affine_schedules(n, n, 1).unwrap().as_slice(), 1);
         assert!(
             aff < rot,
             "affine ({aff}) should beat rotations ({rot}) at n = {n}"

@@ -1,8 +1,6 @@
 //! Property-based tests for permutation algebra and contention laws.
 
-use doall_perms::{
-    contention_wrt, d_contention_wrt, d_lrm, dcont_threshold, lrm, Permutation, Schedules,
-};
+use doall_perms::{d_contention_wrt, d_lrm, dcont_threshold, lrm, Permutation, Schedules};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,7 +96,7 @@ proptest! {
         let sigma: Vec<Permutation> =
             (0..p).map(|i| random_perm(n, seed.wrapping_add(i as u64))).collect();
         let rho = random_perm(n, rho_seed);
-        let c = contention_wrt(&sigma, &rho);
+        let c = d_contention_wrt(&sigma, &rho, 1);
         prop_assert!(c >= p);
         prop_assert!(c <= p * n);
     }
@@ -121,8 +119,6 @@ proptest! {
             prev = cur;
         }
         prop_assert_eq!(prev, p * n);
-        // d = 1 case coincides with plain contention.
-        prop_assert_eq!(d_contention_wrt(&sigma, &rho, 1), contention_wrt(&sigma, &rho));
     }
 
     /// Left-composition invariance: Cont(⟨ρ∘π_u⟩, ρ∘ϱ) = Cont(Σ, ϱ) — the
@@ -141,8 +137,8 @@ proptest! {
         let lift = random_perm(n, lift);
         let lifted: Vec<Permutation> = sigma.iter().map(|s| lift.compose(s)).collect();
         prop_assert_eq!(
-            contention_wrt(&lifted, &lift.compose(&rho)),
-            contention_wrt(&sigma, &rho)
+            d_contention_wrt(&lifted, &lift.compose(&rho), 1),
+            d_contention_wrt(&sigma, &rho, 1)
         );
     }
 

@@ -3,11 +3,11 @@
 //! `crossbeam` channels, with a router thread injecting per-message
 //! delays.
 //!
-//! Purpose (DESIGN.md §2): the algorithms are pure state machines, so they
-//! must behave correctly on *any* substrate that provides reliable,
-//! possibly-delayed message delivery. This crate validates that claim
-//! under genuine parallelism — preemption, cache effects, real race
-//! timings — none of which the algorithms may rely on or be broken by.
+//! Purpose: the algorithms are pure state machines, so they must behave
+//! correctly on *any* substrate that provides reliable, possibly-delayed
+//! message delivery. This crate validates that claim under genuine
+//! parallelism — preemption, cache effects, real race timings — none of
+//! which the algorithms may rely on or be broken by.
 //!
 //! Complexity *measurement* stays in the simulator (wall-clock
 //! nondeterminism makes exact step accounting meaningless here); this

@@ -29,9 +29,13 @@ use doall_core::{DoAllProcess, ProcId};
 /// How an adversary exercises its delay power — which delivery engine
 /// the simulator may use.
 ///
-/// This is a *promise made by the adversary*, checked nowhere: declaring
+/// This is a *promise made by the adversary*: declaring
 /// [`UniformBroadcast`](Self::UniformBroadcast) without honouring its
-/// contract silently changes executions.
+/// contract silently changes executions. The simulator does not check it
+/// at run time; the property test
+/// `uniform_broadcast_equals_forced_per_recipient` in
+/// `crates/doall-bench/tests/trace_equivalence.rs` checks it for every
+/// uniform adversary key against the forced per-recipient engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Delivery {
     /// The general case (and the default): delays may differ per
@@ -87,9 +91,11 @@ pub trait Adversary: Send {
     }
 
     /// The delay, in global time units (`≥ 1`), of a message submitted at
-    /// `view.now` from `from` to `to`. A *d-adversary* must return values
-    /// `≤ d`; the simulator records the maximum returned value so
-    /// experiment reports can state the effective `d` of the execution.
+    /// `view.now` from `from` to `to`. The simulator asserts `≥ 1`. A
+    /// *d-adversary* must also return values `≤ d`; that half is the
+    /// adversary's contract and is checked nowhere, and no report records
+    /// the largest delay returned (adding `max_delay` to `RunReport` is an
+    /// open item in ROADMAP.md, "Model contracts checked, not promised").
     fn message_delay(&mut self, view: &SimView<'_>, from: ProcId, to: ProcId) -> u64 {
         let _ = (view, from, to);
         1

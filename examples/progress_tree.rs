@@ -11,7 +11,7 @@
 //! ```
 
 use doall::algorithms::{Algorithm, Da};
-use doall::perms::contention_exact;
+use doall::perms::d_contention_exact;
 use doall::prelude::*;
 use doall::sim::analysis::execution_profile;
 use doall::sim::{Simulation, TraceEvent};
@@ -31,7 +31,7 @@ fn main() -> Result<(), doall::CoreError> {
     }
     println!(
         "exact Cont(Σ) = {} (Lemma 4.1 bound 3qH_q = {:.1})\n",
-        contention_exact(da.schedules().as_slice()),
+        d_contention_exact(da.schedules().as_slice(), 1),
         3.0 * q as f64 * (1.0 + 0.5 + 1.0 / 3.0),
     );
 

@@ -804,7 +804,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             let report = Simulation::builder(instance)
                 .procs(algo.spawn(instance))
                 .adversary(spec.adversary()?)
-                .max_ticks(50_000_000)
+                .max_ticks(CLI_MAX_TICKS)
                 .build()
                 .run();
             println!(
@@ -993,7 +993,8 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 return Err(err("-p and -n must be positive"));
             }
             let sched = Schedules::random(*p, *n, *seed);
-            let cont = sched.contention();
+            // d = 1 is Anderson & Woll's Cont(Σ).
+            let cont = crate::perms::d_contention_of_list(sched.as_slice(), 1);
             println!("random list: {p} schedules over [{n}] (seed {seed})");
             println!(
                 "Cont(Σ) = {} ({})",

@@ -203,7 +203,7 @@ fn oblido_primary_executions_bounded_by_contention() {
     let n = 6;
     let instance = Instance::new(n, n).unwrap();
     let schedules = Schedules::random(n, n, 2);
-    let cont = doall::perms::contention_of_list(schedules.as_slice());
+    let cont = d_contention_of_list(schedules.as_slice(), 1);
     assert!(cont.exact);
     let algo = ObliDo::new(schedules);
     let (report, trace) = Simulation::builder(instance)
