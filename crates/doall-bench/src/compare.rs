@@ -51,8 +51,8 @@ pub const MEASURED_ONLY_METRICS: &[&str] =
 const MEASURED_BACKEND: &str = "threads";
 
 /// `true` when `metric` of a cell keyed `key` is exempt from drift
-/// classification. Trend analysis applies the same exemption so its
-/// output stays byte-identical across `--threads` too.
+/// classification. Its two callers are [`compare`] and
+/// [`preserve_measured_values`].
 pub(crate) fn metric_exempt(key: &CellKey, metric: &str) -> bool {
     key.backend == MEASURED_BACKEND || MEASURED_ONLY_METRICS.contains(&metric)
 }

@@ -687,17 +687,6 @@ pub fn validate_algo_key(key: &str) -> Result<(), GridError> {
     }
 }
 
-/// Validates a textual adversary key without building it — a thin
-/// wrapper over [`AdversarySpec::parse`] for callers that still hold the
-/// user's raw string (the CLI).
-///
-/// # Errors
-///
-/// Returns a [`GridError`] for an unknown key or bad knob.
-pub fn validate_adversary_key(key: &str) -> Result<(), GridError> {
-    AdversarySpec::parse(key).map(|_| ())
-}
-
 /// Builds the schedule list an algorithm key implies, when it has one —
 /// used by experiments whose derived metrics (contention, `(d)`-Cont)
 /// refer to the very list the algorithm ran with.

@@ -1,6 +1,6 @@
 //! The comparator's contract, end to end against the real sweep engine:
 //! render → parse → compare(x, x) is all-exact for any grid the harness
-//! can run, classification matches hand-built fixtures, and `--compare`
+//! can run, classification matches hand-built fixtures, and `compare`
 //! output is byte-identical no matter how many threads produced either
 //! side (the determinism guarantee extends from results to diffs).
 

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --bin doall -- simulate --algo padet -p 64 -t 256 -d 16
-//! cargo run --release --bin doall -- sweep --algo da:3 -p 27 -t 729
+//! cargo run --release --bin doall -- sweep --grid 'algos=da:3 shapes=27x729 ds=1,2,4,8,16,32,64,128,256,512'
 //! cargo run --release --bin doall -- contention -p 16 -n 64
 //! cargo run --release --bin doall -- bounds -p 64 -t 256 -d 16
 //! ```

@@ -5,7 +5,7 @@
 //! * `simulate` — run one execution and print the report;
 //! * `sweep`    — run a scenario grid (algorithm × adversary × shape × d)
 //!   through the parallel sweep harness, with table/JSON/CSV output and
-//!   optional baseline comparison (`--compare`);
+//!   optional baseline comparison (`--baseline`);
 //! * `test`     — run a directory of declarative `*.scn` scenario files
 //!   through the suite runner: grids execute on the sweep engine, each
 //!   scenario's `assert` lines are evaluated, and an aggregated
@@ -20,26 +20,29 @@
 //!
 //! Exit codes follow `diff`: 0 clean, 1 baseline drift, 2 errors.
 //!
-//! The parser is hand-rolled (no CLI dependency) and exposed here so it
-//! can be unit-tested; `src/bin/doall.rs` is a thin wrapper. Algorithm
-//! and adversary construction is shared with the experiment harness
-//! (`doall_bench::grid`), so both accept exactly the same keys.
+//! The parser is hand-rolled (no CLI dependency): every subcommand reads
+//! its flags through one argument cursor, so each parse error is worded
+//! in one place. It is exposed here so it can be unit-tested;
+//! `src/bin/doall.rs` is a thin wrapper. Algorithm and adversary keys
+//! are parsed by the experiment harness (`doall_bench::grid`), so both
+//! accept exactly the same keys.
 
-use crate::algorithms::Algorithm;
 use crate::bounds;
 use crate::perms::Schedules;
-use crate::sim::{Adversary, Simulation};
+use crate::sim::Simulation;
 use crate::Instance;
-use doall_bench::compare::{compare, compare_files, preserve_measured_values};
+use doall_bench::compare::{compare, compare_files, preserve_measured_values, Comparison};
+use doall_bench::experiments::derive_by_name;
 use doall_bench::grid::{
-    build_adversary, build_algorithm, validate_adversary_key, validate_algo_key, AdversarySpec,
-    Grid,
+    build_adversary, build_algorithm, validate_algo_key, AdversarySpec, Grid, GridError,
 };
 use doall_bench::resultset::{load_result_set, BaselineSet, Record, ResultSet};
 use doall_bench::suite::{load_dir, render_sections, run_suite, SuiteConfig};
 use doall_bench::sweep::{run_cells, SweepConfig};
+use doall_lint::RuleId;
 use std::fmt;
 use std::path::Path;
+use std::str::FromStr;
 
 /// Tick budget for `simulate` and CLI sweeps (generous: the CLI accepts
 /// paper-scale lower-bound scenarios that legitimately run long).
@@ -122,8 +125,8 @@ pub struct SweepSpec {
     pub out: Option<String>,
     /// Baseline file to diff the results against after the run (diff
     /// table on stderr; drift exits 1).
-    pub compare: Option<String>,
-    /// Drift tolerance for `--compare` (default 0 — results are
+    pub baseline: Option<String>,
+    /// Drift tolerance for `--baseline` (default 0 — results are
     /// deterministic, so any drift on an unchanged grid is a regression).
     pub tolerance: f64,
 }
@@ -182,8 +185,8 @@ pub struct LintSpec {
     pub json: bool,
     /// Write the rendered report here instead of stdout.
     pub out: Option<String>,
-    /// Restrict the run to these rule ids (canonical `D001` spellings).
-    pub only: Option<Vec<String>>,
+    /// Restrict the run to these rules (empty = every rule).
+    pub only: Vec<RuleId>,
     /// Workspace root to lint (default: ascend from the current
     /// directory to the nearest `[workspace]` manifest).
     pub root: Option<String>,
@@ -192,7 +195,7 @@ pub struct LintSpec {
 /// Common parameters of `simulate`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
-    /// Algorithm key (see [`RunSpec::algorithm`]).
+    /// Algorithm key (see [`build_algorithm`]).
     pub algo: String,
     /// Processors.
     pub p: usize,
@@ -200,8 +203,8 @@ pub struct RunSpec {
     pub t: usize,
     /// Delay bound handed to the adversary.
     pub d: u64,
-    /// Adversary key (see [`RunSpec::adversary`]).
-    pub adversary: String,
+    /// The adversary (see [`build_adversary`]).
+    pub adversary: AdversarySpec,
     /// Seed for randomized algorithms/adversaries.
     pub seed: u64,
 }
@@ -222,6 +225,11 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// The error for a bad algorithm or adversary key.
+fn key_err(e: GridError) -> CliError {
+    err(format!("{e}; try `doall help`"))
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 doall — message-delay-sensitive Do-All (Kowalski & Shvartsman, PODC'03)
@@ -231,9 +239,7 @@ USAGE:
   doall sweep      --grid 'algos=A,... advs=ADV,... [backends=B,...] shapes=PxT,...
                    ds=D,... seeds=K seed=S'
                    [--threads N] [--shard-size N] [--max-ticks N] [--json|--csv]
-                   [--out PATH] [--compare BASELINE.json] [--tolerance X]
-  doall sweep      --algo A -p P -t T [-d D] [--adversary ADV] [--seed S]
-                   (single-algorithm shorthand; no -d sweeps d = 1,2,4,… up to t)
+                   [--out PATH] [--baseline BASELINE.json] [--tolerance X]
   doall test       --suite DIR [--smoke] [--only ID,...] [--baseline BASELINE.json]
                    [--record] [--tolerance X] [--threads N] [--shard-size N]
                    [--max-ticks N] [--json] [--out PATH]
@@ -271,8 +277,10 @@ Sweeps run on the doall-bench harness: work is scheduled as (cell,
 replicate-chunk) shards across a thread pool with per-replicate
 deterministic seeding, so --threads and --shard-size change wall-clock
 only, never a number — a single huge cell spreads across every worker.
---json / --csv emit the machine-readable result-set schema (the format
-of BENCH_smoke_baseline.json).
+The table output's header line is the grid's canonical spec, so pasting
+it back into --grid reruns the same cells. --json / --csv emit the
+machine-readable result-set schema (the format of
+BENCH_smoke_baseline.json).
 
 `test` discovers every *.scn file under --suite (recursively, sorted by
 path), runs each scenario's grids through the same sweep harness, and
@@ -310,16 +318,118 @@ the line above. Diagnostics are sorted and byte-identical across runs
 and discovery orders. Exit codes follow compare: 0 clean,
 1 diagnostics, 2 errors.
 
-`compare` (and `sweep --compare`) matches cells of two result sets by
-(experiment, algo, adversary, backend, p, t, d, seeds) — records
-without a backend field key as `sim` — and classifies each as exact,
-drift, added, or removed. Results are deterministic, so the default
---tolerance is 0: any value drift on an unchanged grid is a
+`compare` (and the --baseline of `sweep` and `test`) matches cells of
+two result sets by (experiment, algo, adversary, backend, p, t, d,
+seeds) — records without a backend field key as `sim` — and classifies
+each as exact, drift, added, or removed. Results are deterministic, so
+the default --tolerance is 0: any value drift on an unchanged grid is a
 regression. Measured-only metrics (wall_clock_ms, crashed_drained,
 max_crashed_backlog) and the values of `threads`-backend cells are
 exempt — real-thread counts follow OS scheduling, so only their
 presence is gated. Exit codes follow diff: 0 clean, 1 drift, 2 errors.
 ";
+
+/// A cursor over one subcommand's arguments. Every flag is read through
+/// it, so each parse error is worded in one place.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+    /// The argument last returned by [`Args::next`], named in errors.
+    flag: &'a str,
+}
+
+impl<'a> Args<'a> {
+    /// Advances to the next flag (or positional argument).
+    fn next(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<String, CliError> {
+        self.rest
+            .next()
+            .cloned()
+            .ok_or_else(|| err(format!("flag {} needs a value", self.flag)))
+    }
+
+    /// The current flag's value as a non-negative integer.
+    fn num<T: FromStr>(&mut self) -> Result<T, CliError> {
+        let s = self.value()?;
+        s.parse()
+            .map_err(|_| err(format!("{}: `{s}` is not a positive integer", self.flag)))
+    }
+
+    /// The current flag's value as an integer of at least 1.
+    fn positive<T: FromStr + PartialOrd + From<u8>>(&mut self) -> Result<T, CliError> {
+        let n = self.num()?;
+        if n < T::from(1) {
+            return Err(err(format!("{} must be at least 1", self.flag)));
+        }
+        Ok(n)
+    }
+
+    /// The current flag's value as a comma list of at least one `what`,
+    /// each item read by `item`.
+    fn list<T>(
+        &mut self,
+        what: &str,
+        item: impl Fn(&str) -> Result<T, CliError>,
+    ) -> Result<Vec<T>, CliError> {
+        let items = self
+            .value()?
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(item)
+            .collect::<Result<Vec<_>, _>>()?;
+        if items.is_empty() {
+            return Err(err(format!("{} needs at least one {what}", self.flag)));
+        }
+        Ok(items)
+    }
+
+    /// The current flag's value as a drift tolerance: finite and ≥ 0.
+    fn tolerance(&mut self) -> Result<f64, CliError> {
+        let s = self.value()?;
+        match s.parse::<f64>() {
+            Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+            _ => Err(err(format!(
+                "{}: `{s}` is not a finite non-negative number",
+                self.flag
+            ))),
+        }
+    }
+
+    /// The error for an argument the subcommand does not take.
+    fn unknown(&self) -> CliError {
+        err(format!("unknown flag {}", self.flag))
+    }
+}
+
+/// The flags `sweep` and `test` share, each read in one place.
+#[derive(Default)]
+struct RunFlags {
+    threads: Option<usize>,
+    shard_size: Option<u64>,
+    max_ticks: Option<u64>,
+    baseline: Option<String>,
+    tolerance: f64,
+}
+
+impl RunFlags {
+    /// Reads the current flag if it is one of these; `false` if not.
+    fn read(&mut self, args: &mut Args) -> Result<bool, CliError> {
+        match args.flag {
+            "--threads" => self.threads = Some(args.positive()?),
+            "--shard-size" => self.shard_size = Some(args.positive()?),
+            "--max-ticks" => self.max_ticks = Some(args.positive()?),
+            "--baseline" => self.baseline = Some(args.value()?),
+            "--tolerance" => self.tolerance = args.tolerance()?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
 
 /// Parses an argument vector (without the program name).
 ///
@@ -327,287 +437,153 @@ presence is gated. Exit codes follow diff: 0 clean, 1 drift, 2 errors.
 ///
 /// Returns a [`CliError`] describing the first problem found.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let sub = it.next().map(String::as_str).unwrap_or("help");
-    match sub {
+    let Some((sub, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    let mut args = Args {
+        rest: rest.iter(),
+        flag: sub,
+    };
+    match sub.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "simulate" => {
-            let mut algo = None;
-            let mut p = None;
-            let mut t = None;
-            let mut d = 1u64;
-            let mut adversary = "stage".to_string();
-            let mut seed = 0u64;
-            let mut have_d = false;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
-                match flag.as_str() {
-                    "--algo" => algo = Some(value()?.clone()),
-                    "-p" => p = Some(parse_num(value()?, "-p")?),
-                    "-t" => t = Some(parse_num(value()?, "-t")?),
-                    "-d" => {
-                        d = parse_num(value()?, "-d")? as u64;
-                        have_d = true;
+            let (mut algo, mut p, mut t, mut d) = (None, None, None, None);
+            let mut adversary = AdversarySpec::Stage;
+            let mut seed = 0;
+            while let Some(flag) = args.next() {
+                match flag {
+                    // Keys are checked here (syntax only — building
+                    // searched-list algorithms like `oblido-searched`
+                    // would run the certified search twice), so errors
+                    // surface before a long run.
+                    "--algo" => {
+                        let key = args.value()?;
+                        validate_algo_key(&key).map_err(key_err)?;
+                        algo = Some(key);
                     }
-                    "--adversary" => adversary = value()?.clone(),
-                    "--seed" => seed = parse_num(value()?, "--seed")? as u64,
-                    other => return Err(err(format!("unknown flag {other}"))),
+                    "-p" => p = Some(args.positive()?),
+                    "-t" => t = Some(args.positive()?),
+                    "-d" => d = Some(args.positive()?),
+                    "--adversary" => {
+                        adversary = AdversarySpec::parse(&args.value()?).map_err(key_err)?
+                    }
+                    "--seed" => seed = args.num()?,
+                    _ => return Err(args.unknown()),
                 }
             }
-            if !have_d {
-                return Err(err("simulate requires -d"));
-            }
-            let spec = RunSpec {
+            Ok(Command::Simulate(RunSpec {
                 algo: algo.ok_or_else(|| err("--algo is required"))?,
                 p: p.ok_or_else(|| err("-p is required"))?,
                 t: t.ok_or_else(|| err("-t is required"))?,
-                d,
+                d: d.ok_or_else(|| err("-d is required"))?,
                 adversary,
                 seed,
-            };
-            spec.validate()?;
-            Ok(Command::Simulate(spec))
+            }))
         }
         "sweep" => {
-            let mut grid_spec: Option<String> = None;
-            let mut algo = None;
-            let mut p = None;
-            let mut t = None;
-            let mut ds: Option<Vec<u64>> = None;
-            let mut adversary = "stage".to_string();
-            let mut seed = 0u64;
-            let mut threads = None;
-            let mut shard_size = None;
-            let mut max_ticks = None;
+            let mut grid = None;
+            let mut run = RunFlags::default();
             let mut format = Format::Table;
             let mut out = None;
-            let mut compare = None;
-            let mut tolerance = 0.0f64;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
-                match flag.as_str() {
-                    "--grid" => grid_spec = Some(value()?.clone()),
-                    "--algo" => algo = Some(value()?.clone()),
-                    "-p" => p = Some(parse_num(value()?, "-p")?),
-                    "-t" => t = Some(parse_num(value()?, "-t")?),
-                    "-d" => ds = Some(vec![parse_num(value()?, "-d")? as u64]),
-                    "--adversary" => adversary = value()?.clone(),
-                    "--seed" => seed = parse_num(value()?, "--seed")? as u64,
-                    "--threads" => {
-                        let n = parse_num(value()?, "--threads")?;
-                        if n == 0 {
-                            return Err(err("--threads must be at least 1"));
-                        }
-                        threads = Some(n);
-                    }
-                    "--shard-size" => {
-                        let n = parse_num(value()?, "--shard-size")? as u64;
-                        if n == 0 {
-                            return Err(err("--shard-size must be at least 1"));
-                        }
-                        shard_size = Some(n);
-                    }
-                    "--max-ticks" => {
-                        let n = parse_num(value()?, "--max-ticks")? as u64;
-                        if n == 0 {
-                            return Err(err("--max-ticks must be at least 1"));
-                        }
-                        max_ticks = Some(n);
+            while let Some(flag) = args.next() {
+                match flag {
+                    "--grid" => {
+                        grid = Some(
+                            Grid::parse(&args.value()?)
+                                .map_err(|e| err(format!("bad --grid: {e}")))?,
+                        );
                     }
                     // The two formats conflict, and --out without a
                     // format means JSON (a file of Markdown tables is
                     // never the ask).
-                    "--json" => {
-                        if format == Format::Csv {
+                    "--json" | "--csv" => {
+                        let this = if flag == "--json" {
+                            Format::Json
+                        } else {
+                            Format::Csv
+                        };
+                        if format != Format::Table && format != this {
                             return Err(err("--json conflicts with --csv"));
                         }
-                        format = Format::Json;
+                        format = this;
                     }
-                    "--csv" => {
-                        if format == Format::Json {
-                            return Err(err("--json conflicts with --csv"));
-                        }
-                        format = Format::Csv;
-                    }
-                    "--out" => out = Some(value()?.clone()),
-                    "--compare" => compare = Some(value()?.clone()),
-                    "--tolerance" => tolerance = parse_tolerance(value()?)?,
-                    other => return Err(err(format!("unknown flag {other}"))),
+                    "--out" => out = Some(args.value()?),
+                    _ if run.read(&mut args)? => {}
+                    _ => return Err(args.unknown()),
                 }
             }
             if out.is_some() && format == Format::Table {
                 format = Format::Json;
             }
-            let grid = match grid_spec {
-                Some(spec) => {
-                    if algo.is_some() || p.is_some() || t.is_some() || ds.is_some() {
-                        return Err(err("--grid conflicts with --algo/-p/-t/-d"));
-                    }
-                    Grid::parse(&spec).map_err(|e| err(format!("bad --grid: {e}")))?
-                }
-                None => {
-                    // Single-algorithm shorthand: one shape, d = 1,2,4,…,t
-                    // unless -d pins a single value.
-                    let algo = algo.ok_or_else(|| err("--algo (or --grid) is required"))?;
-                    let p = p.ok_or_else(|| err("-p is required"))?;
-                    let t = t.ok_or_else(|| err("-t is required"))?;
-                    if p == 0 || t == 0 {
-                        return Err(err("-p and -t must be positive"));
-                    }
-                    let ds = ds.unwrap_or_else(|| {
-                        let mut ds = Vec::new();
-                        let mut d = 1u64;
-                        while d <= t as u64 {
-                            ds.push(d);
-                            d *= 2;
-                        }
-                        ds
-                    });
-                    if ds.contains(&0) {
-                        return Err(err("-d must be at least 1"));
-                    }
-                    let grid = Grid {
-                        algos: vec![algo],
-                        adversaries: vec![AdversarySpec::parse(&adversary)
-                            .map_err(|e| err(format!("{e}; try `doall help`")))?],
-                        shapes: vec![(p, t)],
-                        ds,
-                        backends: Vec::new(),
-                        seeds: 1,
-                        base_seed: seed,
-                    };
-                    grid.validate().map_err(|e| err(e.to_string()))?;
-                    grid
-                }
-            };
-            grid.validate().map_err(|e| err(e.to_string()))?;
             Ok(Command::Sweep(SweepSpec {
-                grid,
-                threads,
-                shard_size,
-                max_ticks,
+                grid: grid.ok_or_else(|| err("--grid is required"))?,
+                threads: run.threads,
+                shard_size: run.shard_size,
+                max_ticks: run.max_ticks,
                 format,
                 out,
-                compare,
-                tolerance,
+                baseline: run.baseline,
+                tolerance: run.tolerance,
             }))
         }
         "test" => {
             let mut suite = None;
-            let mut smoke = false;
+            let (mut smoke, mut json, mut record) = (false, false, false);
             let mut only = None;
-            let mut threads = None;
-            let mut shard_size = None;
-            let mut max_ticks = None;
-            let mut baseline = None;
-            let mut tolerance = 0.0f64;
-            let mut json = false;
+            let mut run = RunFlags::default();
             let mut out = None;
-            let mut record = false;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
-                match flag.as_str() {
-                    "--suite" => suite = Some(value()?.clone()),
+            while let Some(flag) = args.next() {
+                match flag {
+                    "--suite" => suite = Some(args.value()?),
                     "--smoke" => smoke = true,
-                    "--only" => {
-                        only = Some(
-                            value()?
-                                .split(',')
-                                .map(str::trim)
-                                .filter(|s| !s.is_empty())
-                                .map(String::from)
-                                .collect::<Vec<_>>(),
-                        );
-                    }
-                    "--threads" => {
-                        let n = parse_num(value()?, "--threads")?;
-                        if n == 0 {
-                            return Err(err("--threads must be at least 1"));
-                        }
-                        threads = Some(n);
-                    }
-                    "--shard-size" => {
-                        let n = parse_num(value()?, "--shard-size")? as u64;
-                        if n == 0 {
-                            return Err(err("--shard-size must be at least 1"));
-                        }
-                        shard_size = Some(n);
-                    }
-                    "--max-ticks" => {
-                        let n = parse_num(value()?, "--max-ticks")? as u64;
-                        if n == 0 {
-                            return Err(err("--max-ticks must be at least 1"));
-                        }
-                        max_ticks = Some(n);
-                    }
-                    "--baseline" => baseline = Some(value()?.clone()),
+                    "--only" => only = Some(args.list("scenario id", |id| Ok(id.to_string()))?),
                     "--record" => record = true,
-                    "--tolerance" => tolerance = parse_tolerance(value()?)?,
                     "--json" => json = true,
-                    "--out" => out = Some(value()?.clone()),
-                    other => return Err(err(format!("unknown flag {other}"))),
+                    "--out" => out = Some(args.value()?),
+                    _ if run.read(&mut args)? => {}
+                    _ => return Err(args.unknown()),
                 }
             }
-            let spec = TestSpec {
+            if record && run.baseline.is_none() {
+                return Err(err("--record needs --baseline (the file to regenerate)"));
+            }
+            Ok(Command::Test(TestSpec {
                 suite: suite.ok_or_else(|| err("--suite is required"))?,
                 smoke,
                 only,
-                threads,
-                shard_size,
-                max_ticks,
-                baseline,
-                tolerance,
+                threads: run.threads,
+                shard_size: run.shard_size,
+                max_ticks: run.max_ticks,
+                baseline: run.baseline,
+                tolerance: run.tolerance,
                 json,
                 out,
                 record,
-            };
-            if spec.record && spec.baseline.is_none() {
-                return Err(err("--record needs --baseline (the file to regenerate)"));
-            }
-            if spec.only.as_ref().is_some_and(Vec::is_empty) {
-                return Err(err("--only needs at least one scenario id"));
-            }
-            Ok(Command::Test(spec))
+            }))
         }
         "compare" => {
-            let mut files: Vec<String> = Vec::new();
-            let mut tolerance = 0.0f64;
+            let mut files = Vec::new();
+            let mut tolerance = 0.0;
             let mut json = false;
             let mut out = None;
-            while let Some(arg) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {arg} needs a value")))
-                };
-                match arg.as_str() {
-                    "--tolerance" => tolerance = parse_tolerance(value()?)?,
+            while let Some(arg) = args.next() {
+                match arg {
+                    "--tolerance" => tolerance = args.tolerance()?,
                     "--json" => json = true,
-                    "--out" => out = Some(value()?.clone()),
-                    flag if flag.starts_with('-') => {
-                        return Err(err(format!("unknown flag {flag}")));
-                    }
-                    _ => files.push(arg.clone()),
+                    "--out" => out = Some(args.value()?),
+                    _ if arg.starts_with('-') => return Err(args.unknown()),
+                    _ => files.push(arg.to_string()),
                 }
             }
-            if files.len() != 2 {
-                return Err(err(format!(
+            let [old, new] = <[String; 2]>::try_from(files).map_err(|files| {
+                err(format!(
                     "compare takes exactly two files (OLD.json NEW.json), got {}",
                     files.len()
-                )));
-            }
-            let mut files = files.into_iter();
+                ))
+            })?;
             Ok(Command::Compare(CompareSpec {
-                old: files.next().expect("two files"),
-                new: files.next().expect("two files"),
+                old,
+                new,
                 tolerance,
                 json,
                 out,
@@ -616,36 +592,18 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "lint" => {
             let mut json = false;
             let mut out = None;
-            let mut only = None;
+            let mut only = Vec::new();
             let mut root = None;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
-                match flag.as_str() {
+            while let Some(flag) = args.next() {
+                match flag {
                     "--json" => json = true,
-                    "--out" => out = Some(value()?.clone()),
-                    "--only" => {
-                        only = Some(
-                            value()?
-                                .split(',')
-                                .map(str::trim)
-                                .filter(|s| !s.is_empty())
-                                .map(String::from)
-                                .collect::<Vec<_>>(),
-                        );
-                    }
-                    "--root" => root = Some(value()?.clone()),
-                    other => return Err(err(format!("unknown flag {other}"))),
+                    "--out" => out = Some(args.value()?),
+                    // Rule ids are checked here, so typos fail before
+                    // any I/O.
+                    "--only" => only = args.list("rule id", |id| RuleId::parse(id).map_err(err))?,
+                    "--root" => root = Some(args.value()?),
+                    _ => return Err(args.unknown()),
                 }
-            }
-            if only.as_ref().is_some_and(Vec::is_empty) {
-                return Err(err("--only needs at least one rule id"));
-            }
-            // Validate rule ids eagerly so typos fail before any I/O.
-            for id in only.iter().flatten() {
-                doall_lint::RuleId::parse(id).map_err(err)?;
             }
             Ok(Command::Lint(LintSpec {
                 json,
@@ -655,17 +613,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }))
         }
         "contention" => {
-            let (mut p, mut n, mut seed) = (None, None, 0u64);
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
-                match flag.as_str() {
-                    "-p" => p = Some(parse_num(value()?, "-p")?),
-                    "-n" => n = Some(parse_num(value()?, "-n")?),
-                    "--seed" => seed = parse_num(value()?, "--seed")? as u64,
-                    other => return Err(err(format!("unknown flag {other}"))),
+            let (mut p, mut n, mut seed) = (None, None, 0);
+            while let Some(flag) = args.next() {
+                match flag {
+                    "-p" => p = Some(args.num()?),
+                    "-n" => n = Some(args.num()?),
+                    "--seed" => seed = args.num()?,
+                    _ => return Err(args.unknown()),
                 }
             }
             Ok(Command::Contention {
@@ -676,16 +630,12 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         "bounds" => {
             let (mut p, mut t, mut d) = (None, None, None);
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .ok_or_else(|| err(format!("flag {flag} needs a value")))
-                };
-                match flag.as_str() {
-                    "-p" => p = Some(parse_num(value()?, "-p")?),
-                    "-t" => t = Some(parse_num(value()?, "-t")?),
-                    "-d" => d = Some(parse_num(value()?, "-d")? as u64),
-                    other => return Err(err(format!("unknown flag {other}"))),
+            while let Some(flag) = args.next() {
+                match flag {
+                    "-p" => p = Some(args.num()?),
+                    "-t" => t = Some(args.num()?),
+                    "-d" => d = Some(args.num()?),
+                    _ => return Err(args.unknown()),
                 }
             }
             Ok(Command::Bounds {
@@ -697,73 +647,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         other => Err(err(format!(
             "unknown subcommand `{other}`; try `doall help`"
         ))),
-    }
-}
-
-fn parse_num(s: &str, flag: &str) -> Result<usize, CliError> {
-    s.parse()
-        .map_err(|_| err(format!("{flag}: `{s}` is not a positive integer")))
-}
-
-fn parse_tolerance(s: &str) -> Result<f64, CliError> {
-    let x: f64 = s
-        .parse()
-        .map_err(|_| err(format!("--tolerance: `{s}` is not a number")))?;
-    if !x.is_finite() || x < 0.0 {
-        return Err(err("--tolerance must be a finite non-negative number"));
-    }
-    Ok(x)
-}
-
-impl RunSpec {
-    fn validate(&self) -> Result<(), CliError> {
-        if self.p == 0 || self.t == 0 {
-            return Err(err("-p and -t must be positive"));
-        }
-        if self.d == 0 {
-            return Err(err("-d must be at least 1"));
-        }
-        // Validate keys eagerly (syntax only — building searched-list
-        // algorithms like `oblido-searched` here would run the certified
-        // search twice per invocation) so errors surface before a long run.
-        validate_algo_key(&self.algo).map_err(|e| err(format!("{e}; try `doall help`")))?;
-        validate_adversary_key(&self.adversary)
-            .map_err(|e| err(format!("{e}; try `doall help`")))?;
-        Ok(())
-    }
-
-    /// Builds the algorithm named by `self.algo` via the shared
-    /// harness constructor ([`doall_bench::grid::build_algorithm`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CliError`] for an unknown key.
-    pub fn algorithm(&self) -> Result<Box<dyn Algorithm>, CliError> {
-        let instance =
-            Instance::new(self.p, self.t).map_err(|e| err(format!("bad instance: {e}")))?;
-        build_algorithm(&self.algo, instance, self.seed)
-            .map_err(|e| err(format!("{e}; try `doall help`")))
-    }
-
-    /// Builds the adversary named by `self.adversary` with bound `d` via
-    /// the shared harness grammar and constructor
-    /// ([`doall_bench::grid::AdversarySpec`] /
-    /// [`doall_bench::grid::build_adversary`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CliError`] for an unknown key or bad knob.
-    pub fn adversary(&self) -> Result<Box<dyn Adversary>, CliError> {
-        let spec = AdversarySpec::parse(&self.adversary)
-            .map_err(|e| err(format!("{e}; try `doall help`")))?;
-        Ok(build_adversary(
-            &spec,
-            self.p,
-            self.t,
-            self.d,
-            self.seed,
-            CLI_MAX_TICKS,
-        ))
     }
 }
 
@@ -781,10 +664,16 @@ fn write_out(rendered: &str, out: Option<&str>) -> Result<(), CliError> {
     }
 }
 
+/// Diffs `results` against the result-set file at `path`: the baseline
+/// check of `sweep --baseline` and `test --baseline`.
+fn diff_baseline(results: &ResultSet, path: &str, tolerance: f64) -> Result<Comparison, CliError> {
+    let baseline = load_result_set(path).map_err(|e| err(e.to_string()))?;
+    Ok(compare(&baseline, &BaselineSet::of(results), tolerance))
+}
+
 /// Executes a parsed command, writing its output to stdout (or `--out`).
-/// Human-only views go to stderr: the baseline diffs of
-/// `sweep --compare` and `test --baseline`, and the per-scenario tables
-/// of `test`.
+/// Human-only views go to stderr: the baseline diffs of `sweep` and
+/// `test`, and the per-scenario tables of `test`.
 ///
 /// # Errors
 ///
@@ -800,10 +689,17 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
         Command::Simulate(spec) => {
             let instance =
                 Instance::new(spec.p, spec.t).map_err(|e| err(format!("bad instance: {e}")))?;
-            let algo = spec.algorithm()?;
+            let algo = build_algorithm(&spec.algo, instance, spec.seed).map_err(key_err)?;
             let report = Simulation::builder(instance)
                 .procs(algo.spawn(instance))
-                .adversary(spec.adversary()?)
+                .adversary(build_adversary(
+                    &spec.adversary,
+                    spec.p,
+                    spec.t,
+                    spec.d,
+                    spec.seed,
+                    CLI_MAX_TICKS,
+                ))
                 .max_ticks(CLI_MAX_TICKS)
                 .build()
                 .run();
@@ -837,16 +733,13 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 cfg.threads = threads;
             }
             let measurements = run_cells(&cells, &cfg).map_err(|e| err(e.to_string()))?;
+            let ratio_quadratic =
+                derive_by_name("ratio_quadratic").expect("ratio_quadratic is a built-in hook");
             let records: Vec<Record> = measurements
                 .into_iter()
                 .map(|m| {
                     let mut metrics = m.metrics();
-                    if let Some(s) = &m.summary {
-                        metrics.insert(
-                            "ratio_quadratic".to_string(),
-                            s.mean_work / (m.cell.p * m.cell.t) as f64,
-                        );
-                    }
+                    ratio_quadratic(&m.cell, &mut metrics);
                     Record {
                         experiment: "sweep".to_string(),
                         cell: m.cell,
@@ -864,10 +757,8 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 Format::Csv => results.to_csv(),
             };
             write_out(&rendered, spec.out.as_deref())?;
-            if let Some(baseline_path) = &spec.compare {
-                let baseline = load_result_set(baseline_path).map_err(|e| err(e.to_string()))?;
-                let current = BaselineSet::of(&results);
-                let comparison = compare(&baseline, &current, spec.tolerance);
+            if let Some(baseline_path) = &spec.baseline {
+                let comparison = diff_baseline(&results, baseline_path, spec.tolerance)?;
                 eprint!("{}", comparison.render_text());
                 if !comparison.is_clean() {
                     return Ok(Outcome::Drift);
@@ -920,10 +811,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                         eprintln!("refusing to record {baseline_path}: the suite is failing");
                     }
                 } else {
-                    let baseline =
-                        load_result_set(baseline_path).map_err(|e| err(e.to_string()))?;
-                    let current = BaselineSet::of(&report.results);
-                    let comparison = compare(&baseline, &current, spec.tolerance);
+                    let comparison = diff_baseline(&report.results, baseline_path, spec.tolerance)?;
                     if !comparison.is_clean() {
                         eprint!("{}", comparison.render_text());
                     }
@@ -968,14 +856,10 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                     })?
                 }
             };
-            let only = spec
-                .only
-                .iter()
-                .flatten()
-                .map(|s| doall_lint::RuleId::parse(s).map_err(err))
-                .collect::<Result<Vec<_>, _>>()?;
-            let report =
-                doall_lint::lint_root(&root, &doall_lint::LintOptions { only }).map_err(err)?;
+            let options = doall_lint::LintOptions {
+                only: spec.only.clone(),
+            };
+            let report = doall_lint::lint_root(&root, &options).map_err(err)?;
             let rendered = if spec.json {
                 report.render_json()
             } else {
@@ -1057,6 +941,16 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// The one-cell grid the sweep tests run: soloall on 2×4 at d = 1.
+    const ONE_CELL: &str = "algos=soloall advs=stage shapes=2x4 ds=1 seeds=1 seed=0";
+
+    /// `sweep --grid <grid> <rest>`, keeping the grid spec one argument.
+    fn sweep(grid: &str, rest: &str) -> Vec<String> {
+        let mut argv = args(&format!("sweep {rest}"));
+        argv.extend(["--grid".to_string(), grid.to_string()]);
+        argv
+    }
+
     #[test]
     fn parses_simulate() {
         let cmd = parse(&args("simulate --algo paran2 -p 8 -t 32 -d 4")).unwrap();
@@ -1064,7 +958,7 @@ mod tests {
             Command::Simulate(spec) => {
                 assert_eq!(spec.algo, "paran2");
                 assert_eq!((spec.p, spec.t, spec.d), (8, 32, 4));
-                assert_eq!(spec.adversary, "stage");
+                assert_eq!(spec.adversary, AdversarySpec::Stage);
                 assert_eq!(spec.seed, 0);
             }
             other => panic!("wrong command: {other:?}"),
@@ -1080,7 +974,7 @@ mod tests {
         match cmd {
             Command::Simulate(spec) => {
                 assert_eq!(spec.algo, "da:3");
-                assert_eq!(spec.adversary, "fixed");
+                assert_eq!(spec.adversary, AdversarySpec::Fixed);
                 assert_eq!(spec.seed, 7);
             }
             other => panic!("wrong command: {other:?}"),
@@ -1131,14 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_does_not_require_d() {
-        assert!(matches!(
-            parse(&args("sweep --algo padet -p 4 -t 8")).unwrap(),
-            Command::Sweep(_)
-        ));
-    }
-
-    #[test]
     fn spec_builds_all_algorithms_and_adversaries() {
         for algo in [
             "soloall", "oblido", "da:2", "da:3", "paran1", "paran2", "padet", "gossip:2",
@@ -1157,16 +1043,19 @@ mod tests {
                 "crash:25@burst",
                 "straggler:25:4",
             ] {
-                let spec = RunSpec {
-                    algo: algo.to_string(),
-                    p: 4,
-                    t: 8,
-                    d: 2,
-                    adversary: adv.to_string(),
-                    seed: 1,
-                };
-                assert!(spec.algorithm().is_ok(), "{algo}");
-                assert!(spec.adversary().is_ok(), "{adv}");
+                let line =
+                    format!("simulate --algo {algo} -p 4 -t 8 -d 2 --adversary {adv} --seed 1");
+                match parse(&args(&line)).unwrap() {
+                    Command::Simulate(spec) => {
+                        let instance = Instance::new(spec.p, spec.t).unwrap();
+                        assert!(
+                            build_algorithm(&spec.algo, instance, spec.seed).is_ok(),
+                            "{algo}"
+                        );
+                        assert_eq!(spec.adversary.to_string(), adv);
+                    }
+                    other => panic!("wrong command: {other:?}"),
+                }
             }
         }
     }
@@ -1191,7 +1080,7 @@ mod tests {
 
     #[test]
     fn execute_sweep_small() {
-        let cmd = parse(&args("sweep --algo soloall -p 2 -t 4")).unwrap();
+        let cmd = parse(&sweep(ONE_CELL, "")).unwrap();
         execute(&cmd).unwrap();
     }
 
@@ -1227,7 +1116,7 @@ mod tests {
             p: 9,
             t: 81,
             d: 3,
-            adversary: "bursty".to_string(),
+            adversary: AdversarySpec::Bursty { period: None },
             seed: 1234,
         };
         assert_eq!(
@@ -1237,48 +1126,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_shorthand_builds_a_single_algorithm_grid() {
-        let seed = u64::from(u32::MAX) + 1;
-        let cmd = parse(&args(&format!(
-            "sweep --algo gossip:3 -p 5 -t 40 -d 7 --adversary lbrand --seed {seed}"
-        )))
-        .unwrap();
-        match cmd {
-            Command::Sweep(spec) => {
-                assert_eq!(spec.grid.algos, vec!["gossip:3"]);
-                assert_eq!(
-                    spec.grid.adversaries,
-                    vec![AdversarySpec::Lbrand { stage: None }]
-                );
-                assert_eq!(spec.grid.shapes, vec![(5, 40)]);
-                assert_eq!(spec.grid.ds, vec![7], "-d pins a single delay bound");
-                assert_eq!(spec.grid.base_seed, seed);
-                assert_eq!(spec.format, Format::Table);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sweep_without_d_sweeps_powers_of_two() {
-        let cmd = parse(&args("sweep --algo padet -p 4 -t 8")).unwrap();
-        match cmd {
-            Command::Sweep(spec) => assert_eq!(spec.grid.ds, vec![1, 2, 4, 8]),
-            other => panic!("wrong command: {other:?}"),
-        }
-    }
-
-    #[test]
     fn sweep_grid_flag_parses_and_conflicts_with_shorthand() {
-        let argv = vec![
-            "sweep".to_string(),
-            "--grid".to_string(),
-            "algos=da:3,paran1 advs=stage,unit shapes=4x8 ds=1,2 seeds=2 seed=5".to_string(),
-            "--threads".to_string(),
-            "2".to_string(),
-            "--json".to_string(),
-        ];
-        match parse(&argv).unwrap() {
+        let grid = "algos=da:3,paran1 advs=stage,unit shapes=4x8 ds=1,2 seeds=2 seed=5";
+        match parse(&sweep(grid, "--threads 2 --json")).unwrap() {
             Command::Sweep(spec) => {
                 assert_eq!(spec.grid.algos, vec!["da:3", "paran1"]);
                 assert_eq!(spec.grid.seeds, 2);
@@ -1287,33 +1137,22 @@ mod tests {
             }
             other => panic!("wrong command: {other:?}"),
         }
-        let conflicting = vec![
-            "sweep".to_string(),
-            "--grid".to_string(),
-            "algos=paran1 shapes=4x8".to_string(),
-            "--algo".to_string(),
-            "padet".to_string(),
-        ];
-        assert!(parse(&conflicting).is_err());
-        let bad_grid = vec![
-            "sweep".to_string(),
-            "--grid".to_string(),
-            "algos=frobnicate shapes=4x8".to_string(),
-        ];
-        assert!(parse(&bad_grid).is_err());
+        // `--algo` belongs to `simulate`; a sweep's cells come from --grid.
+        let e = parse(&sweep("algos=paran1 shapes=4x8", "--algo padet")).unwrap_err();
+        assert!(e.to_string().contains("unknown flag --algo"), "{e}");
+        assert!(
+            parse(&args("sweep --threads 2")).is_err(),
+            "--grid is required"
+        );
+        assert!(parse(&sweep("algos=frobnicate shapes=4x8", "")).is_err());
     }
 
     #[test]
     fn sweep_grid_accepts_the_backends_axis() {
         use doall_bench::grid::Backend;
-        let argv = vec![
-            "sweep".to_string(),
-            "--grid".to_string(),
-            "algos=da:3 advs=unit,crash:25@burst backends=sim,threads shapes=8x32 ds=2 \
-             seeds=2 seed=0"
-                .to_string(),
-        ];
-        match parse(&argv).unwrap() {
+        let grid = "algos=da:3 advs=unit,crash:25@burst backends=sim,threads shapes=8x32 ds=2 \
+                    seeds=2 seed=0";
+        match parse(&sweep(grid, "")).unwrap() {
             Command::Sweep(spec) => {
                 assert_eq!(spec.grid.backends, vec![Backend::Sim, Backend::Threads]);
                 // One cell per (algo × adv × shape × d × backend).
@@ -1321,26 +1160,18 @@ mod tests {
             }
             other => panic!("wrong command: {other:?}"),
         }
-        let bad = vec![
-            "sweep".to_string(),
-            "--grid".to_string(),
-            "algos=da:3 backends=gpu shapes=8x32".to_string(),
-        ];
-        let e = parse(&bad).unwrap_err().to_string();
+        let e = parse(&sweep("algos=da:3 backends=gpu shapes=8x32", ""))
+            .unwrap_err()
+            .to_string();
         assert!(e.contains("unknown backend"), "{e}");
     }
 
     #[test]
     fn sweep_grid_accepts_parameterized_adversary_keys_verbatim() {
         use doall_bench::grid::CrashStagger;
-        let argv = vec![
-            "sweep".to_string(),
-            "--grid".to_string(),
-            "algos=da:3 advs=bursty:4,crash:25@burst,straggler:25:4 shapes=16x64 ds=2,8 seeds=3 \
-             seed=0"
-                .to_string(),
-        ];
-        match parse(&argv).unwrap() {
+        let grid = "algos=da:3 advs=bursty:4,crash:25@burst,straggler:25:4 shapes=16x64 ds=2,8 \
+                    seeds=3 seed=0";
+        match parse(&sweep(grid, "")).unwrap() {
             Command::Sweep(spec) => {
                 assert_eq!(
                     spec.grid.adversaries,
@@ -1417,7 +1248,7 @@ mod tests {
             Command::Lint(LintSpec {
                 json: false,
                 out: None,
-                only: None,
+                only: Vec::new(),
                 root: None,
             })
         );
@@ -1429,7 +1260,7 @@ mod tests {
             Command::Lint(LintSpec {
                 json: true,
                 out: Some("lint.json".to_string()),
-                only: Some(vec!["D001".to_string(), "H001".to_string()]),
+                only: vec![RuleId::D001, RuleId::H001],
                 root: Some(".".to_string()),
             })
         );
@@ -1451,7 +1282,7 @@ mod tests {
         let dirty = Command::Lint(LintSpec {
             json: false,
             out: Some(out.display().to_string()),
-            only: None,
+            only: Vec::new(),
             root: Some(dir.display().to_string()),
         });
         assert_eq!(execute(&dirty).unwrap(), Outcome::Drift);
@@ -1464,7 +1295,7 @@ mod tests {
         let clean = Command::Lint(LintSpec {
             json: true,
             out: Some(out.display().to_string()),
-            only: Some(vec!["D002".to_string()]),
+            only: vec![RuleId::D002],
             root: Some(dir.display().to_string()),
         });
         assert_eq!(execute(&clean).unwrap(), Outcome::Clean);
@@ -1473,7 +1304,7 @@ mod tests {
         let bad_root = Command::Lint(LintSpec {
             json: false,
             out: None,
-            only: None,
+            only: Vec::new(),
             root: Some(dir.join("nope").display().to_string()),
         });
         assert!(execute(&bad_root).is_err());
@@ -1482,56 +1313,47 @@ mod tests {
 
     #[test]
     fn sweep_parses_shard_size() {
-        let cmd = parse(&args("sweep --algo soloall -p 2 -t 4 --shard-size 3")).unwrap();
-        match cmd {
+        match parse(&sweep(ONE_CELL, "--shard-size 3")).unwrap() {
             Command::Sweep(spec) => assert_eq!(spec.shard_size, Some(3)),
             other => panic!("wrong command: {other:?}"),
         }
-        match parse(&args("sweep --algo soloall -p 2 -t 4")).unwrap() {
+        match parse(&sweep(ONE_CELL, "")).unwrap() {
             Command::Sweep(spec) => assert_eq!(spec.shard_size, None, "default is auto"),
             other => panic!("wrong command: {other:?}"),
         }
-        assert!(parse(&args("sweep --algo soloall -p 2 -t 4 --shard-size 0")).is_err());
-        assert!(parse(&args("sweep --algo soloall -p 2 -t 4 --shard-size few")).is_err());
-        assert!(parse(&args("sweep --algo soloall -p 2 -t 4 --shard-size")).is_err());
+        assert!(parse(&sweep(ONE_CELL, "--shard-size 0")).is_err());
+        assert!(parse(&sweep(ONE_CELL, "--shard-size few")).is_err());
+        assert!(parse(&args("sweep --shard-size")).is_err());
     }
 
     #[test]
-    fn sweep_parses_compare_and_tolerance() {
-        let cmd = parse(&args(
-            "sweep --algo soloall -p 2 -t 4 --compare base.json --tolerance 0.1",
-        ))
-        .unwrap();
-        match cmd {
+    fn sweep_parses_baseline_and_tolerance() {
+        match parse(&sweep(ONE_CELL, "--baseline base.json --tolerance 0.1")).unwrap() {
             Command::Sweep(spec) => {
-                assert_eq!(spec.compare.as_deref(), Some("base.json"));
+                assert_eq!(spec.baseline.as_deref(), Some("base.json"));
                 assert_eq!(spec.tolerance, 0.1);
             }
             other => panic!("wrong command: {other:?}"),
         }
-        assert!(parse(&args("sweep --algo soloall -p 2 -t 4 --tolerance x")).is_err());
+        assert!(parse(&sweep(ONE_CELL, "--tolerance x")).is_err());
+        let e = parse(&sweep(ONE_CELL, "--compare base.json")).unwrap_err();
+        assert!(e.to_string().contains("unknown flag --compare"), "{e}");
     }
 
     #[test]
     fn execute_sweep_writes_the_selected_format_to_out() {
         let path = std::env::temp_dir().join(format!("doall_cli_sweep_out_{}", std::process::id()));
         let path = path.to_str().unwrap().to_string();
-        let csv = format!("sweep --algo soloall -p 2 -t 4 -d 1 --csv --out {path}");
-        assert_eq!(
-            execute(&parse(&args(&csv)).unwrap()).unwrap(),
-            Outcome::Clean
-        );
+        let csv = sweep(ONE_CELL, &format!("--csv --out {path}"));
+        assert_eq!(execute(&parse(&csv).unwrap()).unwrap(), Outcome::Clean);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(
             text.starts_with("experiment,algo,adversary,p,t,d,seeds,metric,value\n"),
             "{text}"
         );
         // --out alone means JSON, which reads back as a result set.
-        let json = format!("sweep --algo soloall -p 2 -t 4 -d 1 --out {path}");
-        assert_eq!(
-            execute(&parse(&args(&json)).unwrap()).unwrap(),
-            Outcome::Clean
-        );
+        let json = sweep(ONE_CELL, &format!("--out {path}"));
+        assert_eq!(execute(&parse(&json).unwrap()).unwrap(), Outcome::Clean);
         let set = load_result_set(&path).unwrap();
         assert_eq!(set.mode, "custom");
         assert_eq!(set.cells.len(), 1);
@@ -1539,22 +1361,16 @@ mod tests {
     }
 
     #[test]
-    fn execute_compare_and_sweep_compare_report_drift_via_outcome() {
+    fn execute_compare_and_sweep_baseline_report_drift_via_outcome() {
         let dir = std::env::temp_dir();
         let base = dir.join(format!("doall_cli_compare_{}.json", std::process::id()));
         let base = base.to_str().unwrap().to_string();
         // A sweep writes its own baseline...
-        let sweep = format!("sweep --algo soloall -p 2 -t 4 -d 1 --out {base}");
-        assert_eq!(
-            execute(&parse(&args(&sweep)).unwrap()).unwrap(),
-            Outcome::Clean
-        );
+        let first = sweep(ONE_CELL, &format!("--out {base}"));
+        assert_eq!(execute(&parse(&first).unwrap()).unwrap(), Outcome::Clean);
         // ...against which an identical rerun is clean, cell for cell.
-        let rerun = format!("sweep --algo soloall -p 2 -t 4 -d 1 --out {base}.2 --compare {base}");
-        assert_eq!(
-            execute(&parse(&args(&rerun)).unwrap()).unwrap(),
-            Outcome::Clean
-        );
+        let rerun = sweep(ONE_CELL, &format!("--out {base}.2 --baseline {base}"));
+        assert_eq!(execute(&parse(&rerun).unwrap()).unwrap(), Outcome::Clean);
         assert_eq!(
             execute(&parse(&args(&format!("compare {base} {base}.2"))).unwrap()).unwrap(),
             Outcome::Clean
@@ -1566,10 +1382,7 @@ mod tests {
             1,
         );
         std::fs::write(&base, doctored).unwrap();
-        assert_eq!(
-            execute(&parse(&args(&rerun)).unwrap()).unwrap(),
-            Outcome::Drift
-        );
+        assert_eq!(execute(&parse(&rerun).unwrap()).unwrap(), Outcome::Drift);
         let diff_out = format!("{base}.diff");
         assert_eq!(
             execute(&parse(&args(&format!("compare {base} {base}.2 --out {diff_out}"))).unwrap())
@@ -1780,7 +1593,7 @@ mod tests {
         for line in [
             "simulate --algo",
             "simulate --algo paran1 -p",
-            "sweep --algo paran1 -p 2 -t",
+            "sweep --grid",
             "contention -p 2 -n",
             "bounds -p 2 -t 4 -d",
         ] {
@@ -1794,7 +1607,7 @@ mod tests {
         for line in [
             "simulate --algo paran1 -p many -t 4 -d 1",
             "simulate --algo paran1 -p 4 -t 4 -d soon",
-            "sweep --algo paran1 -p 4 -t x",
+            "sweep --threads x",
             "contention -p 2 -n nope",
             "bounds -p 2 -t 4 -d -1",
         ] {

@@ -1,0 +1,49 @@
+//! The binary's exit-code contract, checked on the real process: 0 clean,
+//! 1 baseline drift, 2 any error, with parse errors followed by the usage
+//! text on stderr. `cli::tests` check the `Outcome` values; only `main`
+//! maps them to exit codes.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn doall(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_doall"))
+        .args(args)
+        .output()
+        .expect("spawn doall")
+}
+
+fn path_str(path: &Path) -> &str {
+    path.to_str().expect("temp paths are UTF-8")
+}
+
+#[test]
+fn parse_errors_exit_2_with_usage() {
+    // `--algo` belongs to `simulate`; `sweep` takes its cells from --grid.
+    let out = doall(&["sweep", "--algo", "padet", "-p", "8", "-t", "32"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --algo"), "{stderr}");
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+#[test]
+fn compare_exits_0_clean_1_drift_2_missing() {
+    let baseline: PathBuf = [env!("CARGO_MANIFEST_DIR"), "BENCH_smoke_baseline.json"]
+        .iter()
+        .collect();
+    let copy = std::env::temp_dir().join(format!("doall_exit_codes_{}.json", std::process::id()));
+    let text = std::fs::read_to_string(&baseline).expect("read the smoke baseline");
+    std::fs::write(&copy, &text).expect("write the copy");
+    let (old, new) = (path_str(&baseline), path_str(&copy));
+
+    assert_eq!(doall(&["compare", old, new]).status.code(), Some(0));
+
+    let doctored = text.replacen("\"mean_work\": ", "\"mean_work\": 9", 1);
+    assert_ne!(doctored, text, "the baseline has a mean_work to doctor");
+    std::fs::write(&copy, doctored).expect("write the doctored copy");
+    assert_eq!(doall(&["compare", old, new]).status.code(), Some(1));
+
+    std::fs::remove_file(&copy).expect("remove the copy");
+    assert_eq!(doall(&["compare", old, new]).status.code(), Some(2));
+}
