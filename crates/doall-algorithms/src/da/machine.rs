@@ -129,13 +129,19 @@ impl DoAllProcess for DaProcess {
         // atomic scheduling unit (its remaining cost is ≤ ⌈t/p⌉ steps,
         // absorbed in the analysis constants).
         if let Some(cursor) = self.cursor.as_mut() {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: `self.cursor` is set to None the step it exhausts"
+            )]
             let task = cursor
                 .next_task()
-                // lint:allow(H001) — invariant: `self.cursor` is set to None the step it exhausts
                 .expect("cursor is cleared when exhausted");
             if cursor.is_finished() {
                 self.cursor = None;
-                // lint:allow(H001) — invariant: a live cursor implies a leaf frame on the stack
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: a live cursor implies a leaf frame on the stack"
+                )]
                 let leaf = self.stack.last().expect("leaf frame present").node;
                 let bits = self.retire(leaf);
                 return StepOutcome::perform_and_broadcast(task, bits);
@@ -159,12 +165,18 @@ impl DoAllProcess for DaProcess {
         let shape = self.shared.shape;
         if shape.is_leaf(node) {
             // Real leaf (dummies are pre-marked, handled above).
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: dummy leaves are pre-marked, so this leaf has a job"
+            )]
             let job = shape
                 .job_of_leaf(node)
-                // lint:allow(H001) — invariant: dummy leaves are pre-marked, so this leaf has a job
                 .expect("unmarked leaves correspond to real jobs");
             let mut cursor = self.shared.job_map.cursor(JobId::new(job));
-            // lint:allow(H001) — invariant: JobMap never creates empty jobs
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: JobMap never creates empty jobs"
+            )]
             let task = cursor.next_task().expect("jobs are nonempty");
             if cursor.is_finished() {
                 // Single-task job: perform + mark + multicast in one step.

@@ -85,9 +85,12 @@ impl Da {
     ///
     /// Panics if `q < 2`.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the search returns q permutations of [q] by construction"
+    )]
     pub fn with_default_schedules(q: usize, seed: u64) -> Self {
         let (schedules, _) = search::low_contention_list(q, seed);
-        // lint:allow(H001) — invariant: the search returns q permutations of [q] by construction
         Self::new(q, schedules).expect("searched list has the right shape")
     }
 

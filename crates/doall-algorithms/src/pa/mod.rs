@@ -42,7 +42,10 @@ fn per_proc_seed(seed: u64, pid: usize) -> u64 {
 
 /// How the next job is selected — the `Order`/`Select` plug of Fig. 4.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // StdRng is big but Selector lives once per processor
+#[allow(
+    clippy::large_enum_variant,
+    reason = "StdRng is big but Selector lives once per processor"
+)]
 enum Selector {
     /// Follow a fixed permutation of the jobs (PaRan1 and PaDet).
     Schedule {
@@ -175,9 +178,15 @@ impl DoAllProcess for PaProcess {
             self.current = Some((job, self.job_map.cursor(job)));
         }
 
-        // lint:allow(H001) — invariant: `self.current` was filled two lines up
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `self.current` was filled two lines up"
+        )]
         let (job, cursor) = self.current.as_mut().expect("set above");
-        // lint:allow(H001) — invariant: `self.current` is set to None the step it exhausts
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `self.current` is set to None the step it exhausts"
+        )]
         let task = cursor.next_task().expect("cursor cleared when exhausted");
         if cursor.is_finished() {
             let job = *job;

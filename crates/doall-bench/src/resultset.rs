@@ -646,7 +646,11 @@ fn as_u64(value: &Json, what: &str) -> Result<u64, ResultSetError> {
     match value {
         Json::Number(v) if v.fract() == 0.0 && *v >= 0.0 && *v <= 2f64.powi(53) =>
         {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[allow(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "the guard admits only non-negative integers up to 2^53"
+            )]
             Ok(*v as u64)
         }
         _ => Err(err(format!("{what}: expected a non-negative integer"))),

@@ -301,7 +301,10 @@ impl Expr {
     pub fn eval_cell(&self, cell: &Cell, metrics: &BTreeMap<String, f64>) -> Option<f64> {
         match self {
             Expr::Num(v) => Some(*v),
-            #[allow(clippy::cast_precision_loss)]
+            #[allow(
+                clippy::cast_precision_loss,
+                reason = "cell parameters are far below 2^53, so they convert exactly"
+            )]
             Expr::Var(name) => match name.as_str() {
                 "p" => Some(cell.p as f64),
                 "t" => Some(cell.t as f64),

@@ -53,6 +53,12 @@ const THREADS_DELAY_QUANTUM: Duration = Duration::from_micros(20);
 /// cutoff. Generous: hitting it is an error, not a data point.
 const THREADS_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// Most processors a `threads` cell may have. That backend spawns one OS
+/// thread per processor, so a larger cell is refused before any run
+/// rather than aborting the sweep when the spawn fails. The committed
+/// threads cells use `p ≤ 16`.
+const THREADS_MAX_P: usize = 1024;
+
 /// Trace capacity for a `(p, max_ticks)` run: at most one step event and
 /// one send event per processor per tick, plus the completion event,
 /// clamped to [`TRACE_CAPACITY`].
@@ -119,7 +125,8 @@ pub enum SweepError {
         /// reproduction needs, as opposed to the position above.
         seed: u64,
     },
-    /// The instance shape was invalid.
+    /// The instance shape was invalid, or too large for the `threads`
+    /// backend.
     Instance(String),
     /// Trace mode was requested for a cell on the `threads` backend —
     /// execution traces are a simulator feature (real threads have no
@@ -383,10 +390,19 @@ pub fn run_cells_with_stats(
         if cell.algo == "padet-affine" {
             build_algorithm(&cell.algo, instance, cell.run_seed(0))?;
         }
-        if cfg.trace && cell.algo != ALGO_NONE && cell.effective_backend() == Backend::Threads {
-            return Err(SweepError::TraceThreads {
-                cell: cell_label(cell),
-            });
+        if cell.algo != ALGO_NONE && cell.effective_backend() == Backend::Threads {
+            if cfg.trace {
+                return Err(SweepError::TraceThreads {
+                    cell: cell_label(cell),
+                });
+            }
+            if cell.p > THREADS_MAX_P {
+                return Err(SweepError::Instance(format!(
+                    "cell {} needs one OS thread per processor on the threads backend, \
+                     above the cap of {THREADS_MAX_P}; use the sim backend",
+                    cell_label(cell)
+                )));
+            }
         }
     }
 
@@ -1080,6 +1096,35 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, SweepError::TraceThreads { .. }), "{err}");
         assert!(err.to_string().contains("backend=threads"), "{err}");
+    }
+
+    #[test]
+    fn threads_cells_above_the_cap_fail_before_any_run() {
+        // The sim cell first would stop at the one-tick cutoff; the cap
+        // error wins because validation runs before any shard.
+        let mut cells = Grid::parse("algos=paran1 advs=unit shapes=2x4 ds=1")
+            .unwrap()
+            .cells();
+        cells.extend(
+            Grid::parse("algos=paran1 advs=unit backends=threads shapes=1025x1025 ds=1")
+                .unwrap()
+                .cells(),
+        );
+        let cfg = SweepConfig {
+            max_ticks: 1,
+            ..SweepConfig::default()
+        };
+        let sim_err = run_cells(&cells[..1], &cfg).unwrap_err();
+        assert!(
+            matches!(sim_err, SweepError::Incomplete { .. }),
+            "{sim_err}"
+        );
+        let err = run_cells(&cells, &cfg).unwrap_err();
+        assert!(matches!(err, SweepError::Instance(_)), "{err}");
+        let msg = err.to_string();
+        for needle in ["backend=threads", "p=1025", "cap of 1024"] {
+            assert!(msg.contains(needle), "`{msg}` lacks `{needle}`");
+        }
     }
 
     #[test]

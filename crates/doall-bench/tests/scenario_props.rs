@@ -124,7 +124,10 @@ fn arbitrary_grid(g: &mut Gene) -> Grid {
 /// Positive finite literals; `Display` prints the shortest decimal that
 /// round-trips, so any such value survives `parse ∘ render` exactly.
 fn arbitrary_num(g: &mut Gene) -> Expr {
-    #[allow(clippy::cast_precision_loss)]
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "both operands are below 10^4, so they convert exactly"
+    )]
     Expr::Num((g.next() % 10_000) as f64 + (g.next() % 100) as f64 / 100.0)
 }
 

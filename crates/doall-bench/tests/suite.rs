@@ -102,6 +102,10 @@ fn suite_output_is_byte_identical_across_threads_and_sharding() {
 /// written in different orders (and discovered from scratch) produce
 /// byte-identical suite output.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a scratch scenario tree under the system temp dir"
+)]
 fn suite_output_is_independent_of_directory_listing_order() {
     let base = std::env::temp_dir().join(format!("doall_suite_order_{}", std::process::id()));
     let texts: Vec<(String, String)> = ["alpha", "beta", "gamma"]
@@ -162,6 +166,10 @@ fn example_lb_stage_scenario_runs_clean() {
 /// Failure reports stay actionable end to end: a violated assertion
 /// names the exact cell tuple, and the rendered table carries it.
 #[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a scratch scenario tree under the system temp dir"
+)]
 fn suite_failures_name_the_exact_cell_in_the_rendered_table() {
     let dir = std::env::temp_dir().join(format!("doall_suite_fail_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -8,6 +8,19 @@
 //! of the bound is right).
 
 #![forbid(unsafe_code)]
+// H001: library code outside tests returns errors instead of panicking;
+// a justified exception carries `#[expect(clippy::…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

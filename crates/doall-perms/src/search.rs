@@ -168,7 +168,10 @@ pub fn exhaustive_min_contention(q: usize) -> (Schedules, usize) {
     let mut best: Option<(Vec<Permutation>, usize)> = None;
     let mut stack: Vec<Permutation> = vec![Permutation::identity(q)];
     search_lists(&all, q, &mut stack, &mut best);
-    // lint:allow(H001) — invariant: the identity-rooted search always records a candidate
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: the identity-rooted search always records a candidate"
+    )]
     let (perms, value) = best.expect("search space is nonempty");
     (Schedules { perms }, value)
 }
@@ -242,7 +245,10 @@ pub fn hill_climb_low_contention(q: usize, seed: u64, restarts: usize) -> (Sched
             best = Some((current, value));
         }
     }
-    // lint:allow(H001) — invariant: restarts ≥ 1, so the loop records a best
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: restarts ≥ 1, so the loop records a best"
+    )]
     let (perms, value) = best.expect("at least one restart");
     (Schedules { perms }, value)
 }

@@ -30,19 +30,25 @@ use rand::SeedableRng;
 ///
 /// Panics if `count == 0` or `n == 0`.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: count ≥ 1 rotations were just built"
+)]
 pub fn rotation_schedules(count: usize, n: usize) -> Schedules {
     assert!(count > 0, "need at least one schedule");
     assert!(n > 0, "permutations must be nonempty");
     let stride = n.div_ceil(count);
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: i ↦ i+off mod n is a bijection"
+    )]
     let perms = (0..count)
         .map(|u| {
             let off = (u * stride) % n;
             Permutation::from_image((0..n).map(|i| ((i + off) % n) as u32).collect())
-                // lint:allow(H001) — invariant: i ↦ i+off mod n is a bijection
                 .expect("rotation is a bijection")
         })
         .collect();
-    // lint:allow(H001) — invariant: count ≥ 1 rotations were just built
     Schedules::from_perms(perms).expect("nonempty by construction")
 }
 
@@ -84,12 +90,15 @@ pub fn affine_schedules(count: usize, n: usize, seed: u64) -> Result<Schedules, 
     multipliers.shuffle(&mut rng);
     let mut offsets: Vec<usize> = (0..n).collect();
     offsets.shuffle(&mut rng);
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: gcd(a, n) = 1 for prime n, so the map is a bijection"
+    )]
     let perms = (0..count)
         .map(|u| {
             let a = multipliers[u % multipliers.len()];
             let b = offsets[u % offsets.len()];
             Permutation::from_image((0..n).map(|i| ((a * i + b) % n) as u32).collect())
-                // lint:allow(H001) — invariant: gcd(a, n) = 1 for prime n, so the map is a bijection
                 .expect("affine map over a prime modulus is a bijection")
         })
         .collect();

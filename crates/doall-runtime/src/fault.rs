@@ -59,17 +59,11 @@ impl std::error::Error for RuntimeError {}
 
 /// A validated per-processor crash schedule: processor `i` stops stepping
 /// after `budget(i)` steps (`None` = never). The crash-failure model
-/// requires at least one survivor.
+/// requires at least one survivor; the default schedule crashes nobody.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CrashSchedule(Vec<Option<u64>>);
 
 impl CrashSchedule {
-    /// The empty schedule: nobody crashes.
-    #[must_use]
-    pub fn none() -> Self {
-        Self(Vec::new())
-    }
-
     /// Validates an explicit budget list against `p`. An empty list means
     /// "nobody crashes"; a nonempty one must cover every processor and
     /// leave at least one `None`.
@@ -80,7 +74,7 @@ impl CrashSchedule {
     /// [`RuntimeError::AllCrashed`] if no processor survives.
     pub fn from_budgets(budgets: Vec<Option<u64>>, p: usize) -> Result<Self, RuntimeError> {
         if budgets.is_empty() {
-            return Ok(Self::none());
+            return Ok(Self::default());
         }
         if budgets.len() != p {
             return Err(RuntimeError::CrashBudgetLength {
@@ -98,12 +92,6 @@ impl CrashSchedule {
     #[must_use]
     pub fn budget(&self, pid: usize) -> Option<u64> {
         self.0.get(pid).copied().unwrap_or(None)
-    }
-
-    /// Whether any processor is scheduled to crash.
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.0.iter().any(Option::is_some)
     }
 }
 
@@ -142,6 +130,5 @@ mod tests {
         );
         let ok = CrashSchedule::from_budgets(vec![None, Some(2)], 2).unwrap();
         assert_eq!(ok.budget(1), Some(2));
-        assert!(ok.any());
     }
 }

@@ -53,11 +53,32 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// H001: library code outside tests returns errors instead of panicking;
+// a justified exception carries `#[expect(clippy::…, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod fault;
+#[allow(
+    clippy::disallowed_methods,
+    reason = "D002/D004: deadlines, pacing and inbox drains are wall-clock and arrival-order by design; they feed only measured-only metrics"
+)]
 mod scheduler;
+#[allow(
+    clippy::disallowed_methods,
+    reason = "D002/D004: the router holds messages until a wall-clock due time and drains its channel in arrival order"
+)]
 pub mod transport;
 
 pub use fault::{CrashSchedule, RuntimeError, RuntimeStats};

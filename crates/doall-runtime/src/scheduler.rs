@@ -119,7 +119,10 @@ pub(crate) fn execute(
     let mut per_proc = Vec::with_capacity(p);
     let mut stats = RuntimeStats::default();
     for w in workers {
-        // lint:allow(H001) — propagating a worker panic is the designed failure mode
+        #[expect(
+            clippy::expect_used,
+            reason = "propagating a worker panic is the designed failure mode"
+        )]
         let (steps, sent, drained, max_backlog) = w.join().expect("worker panicked");
         work += steps;
         messages += sent;

@@ -82,7 +82,7 @@ impl ChannelTransport {
                 // Forward everything due.
                 let now = Instant::now();
                 while held.peek().is_some_and(|h| h.due <= now) {
-                    // lint:allow(H001) — invariant: peek() just returned Some
+                    #[expect(clippy::expect_used, reason = "invariant: peek() just returned Some")]
                     let h = held.pop().expect("peeked");
                     let _ = inbox_tx[h.to].send(h.msg);
                 }
@@ -141,10 +141,13 @@ impl ChannelTransport {
     ///
     /// Panics if the inbox was already taken or `pid` is out of range.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract: one take per processor"
+    )]
     pub fn take_inbox(&mut self, pid: usize) -> Receiver<Message> {
         self.inboxes[pid]
             .take()
-            // lint:allow(H001) — documented `# Panics` contract: one take per processor
             .expect("one inbox receiver per processor")
     }
 
@@ -155,9 +158,12 @@ impl ChannelTransport {
     /// # Panics
     ///
     /// Panics if the router thread panicked.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract: router panics propagate"
+    )]
     pub fn shutdown(self) {
         drop(self.outgoing);
-        // lint:allow(H001) — documented `# Panics` contract: router panics propagate
         self.router.join().expect("router panicked");
     }
 }

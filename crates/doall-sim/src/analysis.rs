@@ -64,6 +64,10 @@ fn median(sorted: &[u64]) -> f64 {
 /// Panics on an empty batch (an average over zero runs is a bug in the
 /// caller, not a value to propagate).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "invariant: callers are asserted to pass ≥ 1 report"
+)]
 pub fn summarize(reports: &[RunReport]) -> BatchSummary {
     assert!(!reports.is_empty(), "cannot summarize an empty batch");
     let mut works: Vec<u64> = reports.iter().map(|r| r.work).collect();
@@ -76,11 +80,9 @@ pub fn summarize(reports: &[RunReport]) -> BatchSummary {
         completed: reports.iter().filter(|r| r.completed).count(),
         mean_work: works.iter().sum::<u64>() as f64 / n,
         median_work: median(&works),
-        // lint:allow(H001) — invariant: callers are asserted to pass ≥ 1 report
         max_work: *works.last().expect("non-empty"),
         mean_messages: msgs.iter().sum::<u64>() as f64 / n,
         median_messages: median(&msgs),
-        // lint:allow(H001) — invariant: callers are asserted to pass ≥ 1 report
         max_messages: *msgs.last().expect("non-empty"),
     }
 }

@@ -138,12 +138,14 @@ impl SimulationBuilder {
     /// Panics if `procs` or `adversary` was not provided, or if the
     /// number of processor state machines does not match the instance.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract of build()"
+    )]
     pub fn build(self) -> Simulation {
-        // lint:allow(H001) — documented `# Panics` contract of build()
         let procs = self.procs.expect("SimulationBuilder needs .procs(…)");
         let adversary = self
             .adversary
-            // lint:allow(H001) — documented `# Panics` contract of build()
             .expect("SimulationBuilder needs .adversary(…)");
         assert_eq!(
             procs.len(),
@@ -350,7 +352,10 @@ fn execute<R: Recorder>(
         assert_eq!(plan.len(), p, "adversary must plan every processor");
 
         let mut informed: Option<ProcId> = None;
-        #[allow(clippy::needless_range_loop)] // plan and procs are indexed in lockstep
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "plan and procs are indexed in lockstep"
+        )]
         for pid in 0..p {
             if !plan[pid] {
                 continue;

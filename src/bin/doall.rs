@@ -10,6 +10,10 @@
 
 use doall::cli;
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "D003: the binary's entry point is the one reader of the command line"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = match cli::parse(&args) {

@@ -12,9 +12,6 @@
 //!   pass/fail table is rendered (optionally diffed against a baseline),
 //!   with each scenario's tables on stderr;
 //! * `compare`  — diff two sweep-result JSON files cell by cell;
-//! * `lint`     — run the determinism-preserving static analysis over
-//!   the workspace sources (rules D001–D004, H001–H002; see
-//!   `doall-lint`) and report `path:line`-anchored diagnostics;
 //! * `contention` — contention report for a random schedule list;
 //! * `bounds`   — print every closed-form bound for `(p, t, d)`.
 //!
@@ -39,7 +36,6 @@ use doall_bench::grid::{
 use doall_bench::resultset::{load_result_set, BaselineSet, Record, ResultSet};
 use doall_bench::suite::{load_dir, render_sections, run_suite, SuiteConfig};
 use doall_bench::sweep::{run_cells, SweepConfig};
-use doall_lint::RuleId;
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
@@ -70,8 +66,6 @@ pub enum Command {
     Test(TestSpec),
     /// Diff two sweep-result JSON files cell by cell.
     Compare(CompareSpec),
-    /// Run the static-analysis rules over the workspace sources.
-    Lint(LintSpec),
     /// Contention report for a random list of `p` schedules over `[n]`.
     Contention {
         /// Number of schedules.
@@ -178,20 +172,6 @@ pub struct CompareSpec {
     pub out: Option<String>,
 }
 
-/// Parameters of the `lint` subcommand.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LintSpec {
-    /// Emit the machine-readable report instead of the text table.
-    pub json: bool,
-    /// Write the rendered report here instead of stdout.
-    pub out: Option<String>,
-    /// Restrict the run to these rules (empty = every rule).
-    pub only: Vec<RuleId>,
-    /// Workspace root to lint (default: ascend from the current
-    /// directory to the nearest `[workspace]` manifest).
-    pub root: Option<String>,
-}
-
 /// Common parameters of `simulate`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSpec {
@@ -244,7 +224,6 @@ USAGE:
                    [--record] [--tolerance X] [--threads N] [--shard-size N]
                    [--max-ticks N] [--json] [--out PATH]
   doall compare    OLD.json NEW.json [--tolerance X] [--json] [--out PATH]
-  doall lint       [--json] [--out PATH] [--only RULE,...] [--root DIR]
   doall contention -p P -n N [--seed S]
   doall bounds     -p P -t T -d D
   doall help
@@ -300,23 +279,6 @@ vary from run to run), then, when --baseline drifts, the full
 `compare` drift table. Assertion failures and baseline drift exit 1;
 unreadable suites or malformed scenarios exit 2. The committed
 scenarios/ directory is the paper's experiment suite (e01–e17).
-
-`lint` runs the hand-rolled determinism-preserving static analysis
-(doall-lint) over the workspace sources — skipping vendor/, target/,
-and fixture corpora, with comments, string literals, and
-#[cfg(test)]/mod tests regions masked away. Rules: D001 no
-HashMap/HashSet in deterministic crates; D002 wall-clock reads only in
-doall-runtime's scheduler/transport/fault; D003 no std::env /
-thread::current in deterministic crates; D004 no float accumulation
-(`+=`, `.sum()`) over non-deterministically-ordered iteration
-(HashMap/HashSet iters, read_dir, channel drains) in deterministic
-crates — collect and sort first; H001 no unwrap/expect/panic
-in library-crate non-test code; H002 every crate root carries
-#![forbid(unsafe_code)]. A finding is silenced by a
-`// lint:allow(RULE) — justification` comment on the offending line or
-the line above. Diagnostics are sorted and byte-identical across runs
-and discovery orders. Exit codes follow compare: 0 clean,
-1 diagnostics, 2 errors.
 
 `compare` (and the --baseline of `sweep` and `test`) matches cells of
 two result sets by (experiment, algo, adversary, backend, p, t, d,
@@ -589,29 +551,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 out,
             }))
         }
-        "lint" => {
-            let mut json = false;
-            let mut out = None;
-            let mut only = Vec::new();
-            let mut root = None;
-            while let Some(flag) = args.next() {
-                match flag {
-                    "--json" => json = true,
-                    "--out" => out = Some(args.value()?),
-                    // Rule ids are checked here, so typos fail before
-                    // any I/O.
-                    "--only" => only = args.list("rule id", |id| RuleId::parse(id).map_err(err))?,
-                    "--root" => root = Some(args.value()?),
-                    _ => return Err(args.unknown()),
-                }
-            }
-            Ok(Command::Lint(LintSpec {
-                json,
-                out,
-                only,
-                root,
-            }))
-        }
         "contention" => {
             let (mut p, mut n, mut seed) = (None, None, 0);
             while let Some(flag) = args.next() {
@@ -845,33 +784,6 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 Outcome::Drift
             })
         }
-        Command::Lint(spec) => {
-            let root = match &spec.root {
-                Some(r) => std::path::PathBuf::from(r),
-                None => {
-                    let cwd = std::env::current_dir()
-                        .map_err(|e| err(format!("cannot read current dir: {e}")))?;
-                    doall_lint::find_workspace_root(&cwd).ok_or_else(|| {
-                        err("no workspace manifest above the current dir; pass --root")
-                    })?
-                }
-            };
-            let options = doall_lint::LintOptions {
-                only: spec.only.clone(),
-            };
-            let report = doall_lint::lint_root(&root, &options).map_err(err)?;
-            let rendered = if spec.json {
-                report.render_json()
-            } else {
-                report.render_text()
-            };
-            write_out(&rendered, spec.out.as_deref())?;
-            Ok(if report.is_clean() {
-                Outcome::Clean
-            } else {
-                Outcome::Drift
-            })
-        }
         Command::Contention { p, n, seed } => {
             if *p == 0 || *n == 0 {
                 return Err(err("-p and -n must be positive"));
@@ -934,6 +846,10 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "tests write scratch files under the system temp dir"
+)]
 mod tests {
     use super::*;
 
@@ -1239,76 +1155,6 @@ mod tests {
         assert!(parse(&args("compare a b c")).is_err(), "too many files");
         assert!(parse(&args("compare a b --tolerance -1")).is_err());
         assert!(parse(&args("compare a b --frob")).is_err());
-    }
-
-    #[test]
-    fn parses_lint_subcommand() {
-        assert_eq!(
-            parse(&args("lint")).unwrap(),
-            Command::Lint(LintSpec {
-                json: false,
-                out: None,
-                only: Vec::new(),
-                root: None,
-            })
-        );
-        assert_eq!(
-            parse(&args(
-                "lint --json --out lint.json --only D001,H001 --root ."
-            ))
-            .unwrap(),
-            Command::Lint(LintSpec {
-                json: true,
-                out: Some("lint.json".to_string()),
-                only: vec![RuleId::D001, RuleId::H001],
-                root: Some(".".to_string()),
-            })
-        );
-        assert!(parse(&args("lint --only")).is_err(), "flag needs a value");
-        assert!(parse(&args("lint --only ,")).is_err(), "empty rule list");
-        assert!(parse(&args("lint --only D999")).is_err(), "unknown rule");
-        assert!(parse(&args("lint --frob")).is_err(), "unknown flag");
-    }
-
-    #[test]
-    fn execute_lint_scans_a_workspace_and_reports_via_outcome() {
-        let dir = std::env::temp_dir().join(format!("doall_cli_lint_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let src = dir.join("crates/doall-sim/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(dir.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
-        std::fs::write(src.join("probe.rs"), "use std::collections::HashMap;\n").unwrap();
-        let out = dir.join("lint.txt");
-        let dirty = Command::Lint(LintSpec {
-            json: false,
-            out: Some(out.display().to_string()),
-            only: Vec::new(),
-            root: Some(dir.display().to_string()),
-        });
-        assert_eq!(execute(&dirty).unwrap(), Outcome::Drift);
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(
-            text.contains("crates/doall-sim/src/probe.rs:1: D001"),
-            "{text}"
-        );
-        // Restricting to an unrelated rule makes the same tree clean.
-        let clean = Command::Lint(LintSpec {
-            json: true,
-            out: Some(out.display().to_string()),
-            only: vec![RuleId::D002],
-            root: Some(dir.display().to_string()),
-        });
-        assert_eq!(execute(&clean).unwrap(), Outcome::Clean);
-        let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains("\"clean\": true"), "{json}");
-        let bad_root = Command::Lint(LintSpec {
-            json: false,
-            out: None,
-            only: Vec::new(),
-            root: Some(dir.join("nope").display().to_string()),
-        });
-        assert!(execute(&bad_root).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -28,6 +28,22 @@ fn parse_errors_exit_2_with_usage() {
 }
 
 #[test]
+fn oversized_threads_cells_exit_2_before_spawning() {
+    // One OS thread per processor: 2000 of them is refused up front.
+    let grid = "algos=paran1 backends=threads shapes=2000x2000 ds=1 seeds=1 seed=0";
+    let out = doall(&["sweep", "--grid", grid, "--threads", "1"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for needle in ["backend=threads p=2000", "cap of 1024"] {
+        assert!(stderr.contains(needle), "{stderr}");
+    }
+}
+
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a scratch copy of the baseline under the system temp dir"
+)]
 fn compare_exits_0_clean_1_drift_2_missing() {
     let baseline: PathBuf = [env!("CARGO_MANIFEST_DIR"), "BENCH_smoke_baseline.json"]
         .iter()
