@@ -436,8 +436,8 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Returns a [`GridError`] for unknown fields, malformed values,
-    /// empty axes, or unknown algorithm/adversary keys.
+    /// Returns a [`GridError`] for unknown or repeated fields, malformed
+    /// values, empty axes, or unknown algorithm/adversary keys.
     pub fn parse(spec: &str) -> Result<Self, GridError> {
         let mut algos: Option<Vec<String>> = None;
         let mut adversaries: Option<Vec<AdversarySpec>> = None;
@@ -446,10 +446,26 @@ impl Grid {
         let mut backends: Vec<Backend> = Vec::new();
         let mut seeds = 1u64;
         let mut base_seed = 0u64;
+        // One bit per field seen: a repeated field would replace the first.
+        let mut given = 0u8;
         for field in spec.split_whitespace() {
             let (key, value) = field
                 .split_once('=')
                 .ok_or_else(|| err(format!("grid field `{field}` is not key=value")))?;
+            let bit = match key {
+                "algos" => 1,
+                "advs" => 2,
+                "shapes" => 4,
+                "ds" => 8,
+                "backends" => 16,
+                "seeds" => 32,
+                "seed" => 64,
+                _ => 0,
+            };
+            if given & bit != 0 {
+                return Err(err(format!("grid field `{key}` is given twice")));
+            }
+            given |= bit;
             match key {
                 "algos" => algos = Some(value.split(',').map(str::to_string).collect()),
                 "advs" => {
@@ -1123,6 +1139,8 @@ mod tests {
             "algos=paran1 shapes=4x8 backends=",                // empty backend token
             "algos=paran1 shapes=4x8 backends=threads,threads", // duplicate backend
             "algos=paran1 shapes=4x8 backends=sim,threads,sim", // duplicate backend
+            "algos=paran1 algos=soloall shapes=4x8",            // algos given twice
+            "algos=paran1 shapes=4x8 seed=0 seed=1",            // seed given twice
         ] {
             assert!(Grid::parse(bad).is_err(), "{bad} should fail");
         }

@@ -135,6 +135,16 @@ pub enum SweepError {
         /// The offending cell, rendered for the error message.
         cell: String,
     },
+    /// A traced replicate emitted more events than the trace buffer's
+    /// cap holds, so its execution profile would undercount.
+    TraceTruncated {
+        /// The offending cell, rendered for the error message.
+        cell: String,
+        /// The replicate index (`0..seeds`) whose trace overflowed.
+        replicate: u64,
+        /// That replicate's derived seed ([`Cell::run_seed`]`(replicate)`).
+        seed: u64,
+    },
 }
 
 impl fmt::Display for SweepError {
@@ -155,6 +165,15 @@ impl fmt::Display for SweepError {
                 f,
                 "execution traces are sim-only, but cell {cell} runs on the threads \
                  backend; drop --trace or the threads backend"
+            ),
+            SweepError::TraceTruncated {
+                cell,
+                replicate,
+                seed,
+            } => write!(
+                f,
+                "execution trace overflowed its cap of {TRACE_CAPACITY} events (cell {cell}, \
+                 replicate {replicate}, seed {seed}); shrink the cell or drop `trace = true`"
             ),
         }
     }
@@ -256,8 +275,8 @@ impl CellMeasurement {
 }
 
 /// What the engine did to run a sweep — shard and worker accounting for
-/// tests and the harness benches. None of it ever reaches the output
-/// schema (results must stay byte-identical across `--threads` and
+/// tests and perfbench. None of it ever reaches the output schema
+/// (results must stay byte-identical across `--threads` and
 /// `--shard-size`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepStats {
@@ -365,8 +384,8 @@ pub fn run_cells(cells: &[Cell], cfg: &SweepConfig) -> Result<Vec<CellMeasuremen
 }
 
 /// [`run_cells`] plus the engine's shard/worker accounting — the probe
-/// the determinism tests and harness benches use to assert that a single
-/// huge cell really engages more than one worker.
+/// the determinism tests use to assert that a single huge cell really
+/// engages more than one worker, and the source of perfbench's `sweep.*` layers.
 ///
 /// # Errors
 ///
@@ -471,12 +490,11 @@ pub fn run_cells_with_stats(
         // grids of tiny cells is a measurable slice of the wall-clock.
         worker();
     } else {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(worker);
             }
-        })
-        .expect("sweep workers do not panic");
+        });
     }
     let stats = SweepStats {
         shards: shards.len(),
@@ -536,6 +554,13 @@ fn run_shard(
                 .build()
                 .run_traced();
             let trace = trace.expect("tracing enabled");
+            if trace.dropped() > 0 {
+                return Err(SweepError::TraceTruncated {
+                    cell: cell_label(cell),
+                    replicate: k,
+                    seed,
+                });
+            }
             partial.record(&execution_profile(&trace, cell.t));
             *trace_buf = Some(trace);
             reports.push(report);

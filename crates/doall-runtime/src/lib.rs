@@ -1,7 +1,7 @@
 //! Real-concurrency runner: executes the same Do-All state machines that
 //! the discrete-event simulator drives, but on OS threads connected by
-//! `crossbeam` channels, with a router thread injecting per-message
-//! delays.
+//! `std::sync::mpsc` channels, with a router thread injecting
+//! per-message delays.
 //!
 //! Purpose: the algorithms are pure state machines, so they must behave
 //! correctly on *any* substrate that provides reliable, possibly-delayed

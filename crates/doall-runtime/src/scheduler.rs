@@ -10,9 +10,8 @@ use crate::fault::{CrashSchedule, RuntimeStats};
 use crate::transport::{ChannelTransport, Outgoing};
 use crate::{RuntimeConfig, TaskBody};
 use doall_core::{BitSet, DoAllProcess, Instance, Message, ProcId, RunReport};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Runs `procs` on OS threads until some processor knows all tasks are
@@ -32,6 +31,8 @@ pub(crate) fn execute(
     let done = Arc::new(AtomicBool::new(false));
     let deadline = Instant::now() + config.timeout;
     let start = Instant::now();
+    // Every update is one `insert`, so the set stays valid if a worker
+    // panics holding the lock: both lock sites recover a poisoned guard.
     let ground_truth = Arc::new(Mutex::new(BitSet::new(t)));
 
     let mut transport =
@@ -83,7 +84,10 @@ pub(crate) fn execute(
                 steps += 1;
                 if let Some(task) = outcome.performed {
                     body(task);
-                    truth.lock().insert(task.index());
+                    truth
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert(task.index());
                 }
                 if let Some(bits) = outcome.broadcast {
                     let recipients: Vec<usize> = match outcome.targets {
@@ -132,7 +136,10 @@ pub(crate) fn execute(
     }
     transport.shutdown();
 
-    let all_done = ground_truth.lock().is_full();
+    let all_done = ground_truth
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .is_full();
     let informed = done.load(Ordering::Acquire);
     let report = RunReport {
         work,

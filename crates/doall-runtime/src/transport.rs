@@ -1,18 +1,18 @@
 //! Message transport: the substrate that carries broadcasts between
 //! worker threads, with a router thread injecting per-message delays.
 //!
-//! The only transport today is in-process `crossbeam` channels
+//! The only transport today is in-process `std::sync::mpsc` channels
 //! ([`ChannelTransport`]). The surface is deliberately narrow — start,
 //! one inbox per processor, a sender for outgoing envelopes, shutdown —
 //! so a future socket transport can slot in behind the same seam
 //! without touching the scheduler.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use doall_core::Message;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -67,11 +67,11 @@ impl ChannelTransport {
     /// immediately (so laggards can still learn completion) and exits.
     #[must_use]
     pub fn start(p: usize, max_delay: Duration, seed: u64, done: Arc<AtomicBool>) -> Self {
-        let (to_router, router_rx) = unbounded::<Outgoing>();
+        let (to_router, router_rx) = channel::<Outgoing>();
         let mut inbox_tx: Vec<Sender<Message>> = Vec::with_capacity(p);
         let mut inboxes: Vec<Option<Receiver<Message>>> = Vec::with_capacity(p);
         for _ in 0..p {
-            let (tx, rx) = unbounded::<Message>();
+            let (tx, rx) = channel::<Message>();
             inbox_tx.push(tx);
             inboxes.push(Some(rx));
         }

@@ -2,8 +2,8 @@
 //!
 //! `p` worker threads scan `t` segments of a synthetic signal for a
 //! planted pattern. Each segment scan is an idempotent task; workers
-//! coordinate with PaRan2 over real crossbeam channels through a router
-//! that injects random message delays — the wall-clock analogue of the
+//! coordinate with PaRan2 over `std::sync::mpsc` channels through a
+//! router that injects random message delays — the wall-clock analogue of the
 //! d-adversary. This exercises `doall-runtime`: the exact same state
 //! machines the simulator drives, under genuine parallelism.
 //!

@@ -42,6 +42,28 @@ fn oversized_threads_cells_exit_2_before_spawning() {
 #[test]
 #[allow(
     clippy::disallowed_methods,
+    reason = "a scratch suite directory under the system temp dir"
+)]
+fn traced_cells_that_overflow_the_trace_cap_exit_2_naming_the_cell() {
+    // 64 soloall processors on 65536 tasks take 4,194,304 steps, one
+    // trace event each: past the 4,000,000-event cap.
+    let dir = std::env::temp_dir().join(format!("doall_exit_codes_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the suite dir");
+    let scn = "id = overflow\ntrace = true\n\
+               grid = algos=soloall advs=unit shapes=64x65536 ds=1 seeds=1 seed=0\n";
+    std::fs::write(dir.join("overflow.scn"), scn).expect("write the scenario");
+    let out = doall(&["test", "--suite", path_str(&dir)]);
+    std::fs::remove_dir_all(&dir).expect("remove the suite dir");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for needle in ["p=64 t=65536", "cap of 4000000", "trace = true"] {
+        assert!(stderr.contains(needle), "{stderr}");
+    }
+}
+
+#[test]
+#[allow(
+    clippy::disallowed_methods,
     reason = "a scratch copy of the baseline under the system temp dir"
 )]
 fn compare_exits_0_clean_1_drift_2_missing() {
