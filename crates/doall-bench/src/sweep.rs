@@ -21,7 +21,7 @@ use crate::grid::{
 };
 use crate::suite::cell_label;
 use doall_core::Instance;
-use doall_runtime::{Runtime, RuntimeConfig};
+use doall_runtime::RuntimeConfig;
 use doall_sim::analysis::{execution_profile, summarize, BatchSummary, ProfilePartial};
 use doall_sim::{Simulation, Trace, TraceMode, DEFAULT_MAX_TICKS};
 use std::collections::BTreeMap;
@@ -44,9 +44,9 @@ const TRACE_CAPACITY: usize = 4_000_000;
 const THREADS_STEP_INTERVAL: Duration = Duration::from_micros(20);
 
 /// Wall-clock value of one delay unit `d` on the `threads` backend: a
-/// cell's `d` becomes a `d × quantum` cap on the router's random message
-/// delays — the same knob the simulator's d-adversary turns, expressed
-/// in microseconds instead of ticks.
+/// cell's `d` becomes a `d × quantum` cap on the random message delays
+/// the runtime's senders draw — the same knob the simulator's
+/// d-adversary turns, expressed in microseconds instead of ticks.
 const THREADS_DELAY_QUANTUM: Duration = Duration::from_micros(20);
 
 /// Wall-clock budget per `threads` replicate — the analogue of the tick
@@ -164,7 +164,7 @@ impl fmt::Display for SweepError {
             SweepError::TraceThreads { cell } => write!(
                 f,
                 "execution traces are sim-only, but cell {cell} runs on the threads \
-                 backend; drop --trace or the threads backend"
+                 backend; drop `trace = true` or the threads backend"
             ),
             SweepError::TraceTruncated {
                 cell,
@@ -607,7 +607,7 @@ fn run_shard(
 /// Runs one shard of a `threads`-backend cell: each replicate executes
 /// the *same* algorithm state machines the simulator drives (same
 /// derived seed, so the algorithm's randomness is identical across
-/// backends) on real OS threads via [`doall_runtime::Runtime`]. The
+/// backends) on real OS threads via [`doall_runtime::run`]. The
 /// cell's adversary maps onto the runtime's wall-clock knobs:
 ///
 /// - `d` → random message delays capped at `d ×`
@@ -625,40 +625,37 @@ fn run_threads_shard(
 ) -> Result<ShardOutput, SweepError> {
     let instance =
         Instance::new(cell.p, cell.t).map_err(|e| SweepError::Instance(e.to_string()))?;
-    let crash_after_steps: Vec<Option<u64>> = match cell.adversary {
-        AdversarySpec::Crash { pct, stagger } => {
-            crate::grid::crash_plan(pct, stagger, cell.p, cell.t, cfg.max_ticks)
-        }
-        _ => Vec::new(),
-    };
-    let pace_overrides: Vec<Option<Duration>> = match cell.adversary {
-        AdversarySpec::Straggler { pct, slowdown } => crate::grid::straggler_flags(pct, cell.p)
-            .iter()
-            .map(|&slow| {
-                slow.then(|| {
-                    THREADS_STEP_INTERVAL
-                        .saturating_mul(u32::try_from(slowdown).unwrap_or(u32::MAX))
+    let mut config = RuntimeConfig {
+        max_delay: THREADS_DELAY_QUANTUM.saturating_mul(u32::try_from(cell.d).unwrap_or(u32::MAX)),
+        seed: 0, // each replicate sets its own below
+        timeout: THREADS_TIMEOUT,
+        crash_after_steps: match cell.adversary {
+            AdversarySpec::Crash { pct, stagger } => {
+                crate::grid::crash_plan(pct, stagger, cell.p, cell.t, cfg.max_ticks)
+            }
+            _ => Vec::new(),
+        },
+        step_interval: THREADS_STEP_INTERVAL,
+        pace_overrides: match cell.adversary {
+            AdversarySpec::Straggler { pct, slowdown } => crate::grid::straggler_flags(pct, cell.p)
+                .iter()
+                .map(|&slow| {
+                    slow.then(|| {
+                        THREADS_STEP_INTERVAL
+                            .saturating_mul(u32::try_from(slowdown).unwrap_or(u32::MAX))
+                    })
                 })
-            })
-            .collect(),
-        _ => vec![None; cell.p],
+                .collect(),
+            _ => Vec::new(),
+        },
     };
     let mut reports = Vec::with_capacity(shard.len as usize);
     let mut probes = Vec::with_capacity(shard.len as usize);
     for k in shard.start..shard.start + shard.len {
         let seed = cell.run_seed(k);
         let algo = build_algorithm(&cell.algo, instance, seed).expect("validated above");
-        let config = RuntimeConfig {
-            max_delay: THREADS_DELAY_QUANTUM
-                .saturating_mul(u32::try_from(cell.d).unwrap_or(u32::MAX)),
-            seed,
-            timeout: THREADS_TIMEOUT,
-            crash_after_steps: crash_after_steps.clone(),
-            step_interval: THREADS_STEP_INTERVAL,
-        };
-        let outcome = Runtime::builder(config)
-            .pace_overrides(pace_overrides.clone())
-            .run(instance, algo.spawn(instance))
+        config.seed = seed;
+        let outcome = doall_runtime::run(instance, algo.spawn(instance), &config, &|_| {})
             .expect("cell-derived runtime setup is valid");
         if !outcome.report.completed {
             return Err(SweepError::Incomplete {
@@ -668,7 +665,8 @@ fn run_threads_shard(
             });
         }
         let sigma_us = outcome.report.sigma.expect("completed runs carry sigma");
-        let crashes_fired = crash_after_steps
+        let crashes_fired = config
+            .crash_after_steps
             .iter()
             .enumerate()
             .filter(|&(pid, budget)| {
@@ -1120,7 +1118,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SweepError::TraceThreads { .. }), "{err}");
-        assert!(err.to_string().contains("backend=threads"), "{err}");
+        let msg = err.to_string();
+        // Trace mode comes only from a scenario's `trace = true`; no
+        // subcommand has a `--trace` flag.
+        for needle in ["backend=threads", "trace = true"] {
+            assert!(msg.contains(needle), "`{msg}` lacks `{needle}`");
+        }
+        assert!(!msg.contains("--trace"), "{msg}");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Closed-form complexity bounds from Kowalski & Shvartsman, used by the
-//! experiment harness to print *measured vs. bound* tables.
+//! experiment harness to print *measured vs. bound* tables. Section 4's
+//! contention bounds live with the contention code in `doall-perms`
+//! (`search::lemma41_bound`, `dcont_threshold`).
 //!
 //! All functions take the instance parameters `(p, t, d)` as plain
 //! integers and return `f64` values of the bound's dominant expression
@@ -27,8 +29,6 @@
 mod lemma32;
 
 pub use lemma32::{lemma32_ratio, ln_choose, ln_gamma};
-
-use std::f64::consts::E;
 
 fn assert_params(p: usize, t: usize, d: u64) {
     assert!(p >= 1, "need at least one processor");
@@ -119,23 +119,6 @@ pub fn oblivious_work(p: usize, t: usize) -> f64 {
     p as f64 * t as f64
 }
 
-/// The Lemma 4.1 contention bound for a list of `n` schedules over `[n]`:
-/// `3·n·H_n`.
-#[must_use]
-pub fn cont_bound_lemma41(n: usize) -> f64 {
-    assert!(n >= 1, "n must be positive");
-    3.0 * n as f64 * (1..=n).map(|j| 1.0 / j as f64).sum::<f64>()
-}
-
-/// The Theorem 4.4 `d`-contention threshold for `p` random schedules over
-/// `[n]`: `n·ln n + 8·p·d·ln(e + n/d)`.
-#[must_use]
-pub fn dcont_bound_thm44(n: usize, p: usize, d: u64) -> f64 {
-    assert!(n >= 1 && p >= 1 && d >= 1, "parameters must be positive");
-    let (nf, pf, df) = (n as f64, p as f64, d as f64);
-    nf * nf.ln() + 8.0 * pf * df * (E + nf / df).ln()
-}
-
 /// The DA message bound of Theorem 5.6, given measured work: `p · W`.
 #[must_use]
 pub fn da_message_bound(p: usize, work: u64) -> f64 {
@@ -184,7 +167,8 @@ mod tests {
     #[test]
     fn da_epsilon_decreases_with_q_for_lemma41_lists() {
         // ε = log_q(3H_q): decreasing in q for q ≥ 3.
-        let eps = |q: usize| da_epsilon(q, cont_bound_lemma41(q).ceil() as usize);
+        let lemma41 = |q: usize| 3.0 * q as f64 * (1..=q).map(|j| 1.0 / j as f64).sum::<f64>();
+        let eps = |q: usize| da_epsilon(q, lemma41(q).ceil() as usize);
         assert!(eps(8) < eps(4));
         assert!(eps(4) < eps(2) || eps(2) == 0.0);
     }
@@ -200,14 +184,6 @@ mod tests {
         assert!(pa_upper_bound(p, t, 64) > b1);
         // Message bound is exactly p×.
         assert!((pa_message_bound(p, t, 7) - 64.0 * pa_upper_bound(p, t, 7)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contention_bounds_match_perms_crate_shapes() {
-        assert!((cont_bound_lemma41(1) - 3.0).abs() < 1e-12);
-        assert!(cont_bound_lemma41(8) > 8.0);
-        let th = dcont_bound_thm44(100, 10, 2);
-        assert!(th > 100.0 * (100.0f64).ln());
     }
 
     #[test]

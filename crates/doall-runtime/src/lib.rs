@@ -1,7 +1,8 @@
 //! Real-concurrency runner: executes the same Do-All state machines that
 //! the discrete-event simulator drives, but on OS threads connected by
-//! `std::sync::mpsc` channels, with a router thread injecting
-//! per-message delays.
+//! `std::sync::mpsc` channels. A sender stamps each message with a random
+//! due time; the recipient holds it until then, the paper's "process it
+//! later, according to its own local clock".
 //!
 //! Purpose: the algorithms are pure state machines, so they must behave
 //! correctly on *any* substrate that provides reliable, possibly-delayed
@@ -17,20 +18,17 @@
 //!
 //! # Module map
 //!
-//! - `scheduler` *(private)* — the per-processor worker loop and run
-//!   orchestration: stepping state machines, executing task bodies,
-//!   joining counts into a [`RunReport`].
-//! - [`transport`] — message delivery between workers. Today an
-//!   in-process channel router ([`transport::ChannelTransport`]); the
-//!   narrow surface is the seam for a future socket transport.
-//! - [`fault`] — the crash-failure model: validated step budgets
-//!   ([`fault::CrashSchedule`]) and engine-side accounting
-//!   ([`RuntimeStats`]).
+//! - `scheduler` *(private)* — the worker loop: one scoped OS thread per
+//!   processor stepping its state machine, holding delayed messages until
+//!   they are due, executing task bodies, joining counts into a
+//!   [`RunReport`].
+//! - [`fault`] — rejected setups ([`RuntimeError`]) and the engine-side
+//!   accounting of crashed workers ([`RuntimeStats`]).
 //!
-//! The entry point is the builder-style [`Runtime`] facade:
+//! The entry point is [`run`]:
 //!
 //! ```
-//! use doall_runtime::{Runtime, RuntimeConfig};
+//! use doall_runtime::RuntimeConfig;
 //! use doall_core::Instance;
 //! # use doall_core::{DoAllProcess, Message, ProcId, StepOutcome, TaskId};
 //! # #[derive(Clone)]
@@ -46,8 +44,7 @@
 //! # }
 //! let instance = Instance::new(1, 8).unwrap();
 //! let procs = vec![Box::new(Solo(0, 8)) as Box<dyn DoAllProcess>];
-//! let outcome = Runtime::builder(RuntimeConfig::default())
-//!     .run(instance, procs)
+//! let outcome = doall_runtime::run(instance, procs, &RuntimeConfig::default(), &|_| {})
 //!     .expect("valid setup");
 //! assert!(outcome.report.completed);
 //! ```
@@ -72,29 +69,24 @@
 pub mod fault;
 #[allow(
     clippy::disallowed_methods,
-    reason = "D002/D004: deadlines, pacing and inbox drains are wall-clock and arrival-order by design; they feed only measured-only metrics"
+    reason = "D002/D004: due times, deadlines, pacing and inbox drains are wall-clock and arrival-order by design; they feed only measured-only metrics"
 )]
 mod scheduler;
-#[allow(
-    clippy::disallowed_methods,
-    reason = "D002/D004: the router holds messages until a wall-clock due time and drains its channel in arrival order"
-)]
-pub mod transport;
 
-pub use fault::{CrashSchedule, RuntimeError, RuntimeStats};
+pub use fault::{RuntimeError, RuntimeStats};
 
 use doall_core::{DoAllProcess, Instance, RunReport, TaskId};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Configuration of a threaded run.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Maximum injected message delay. Each point-to-point message is held
-    /// by the router for a uniformly random duration up to this bound —
-    /// the wall-clock analogue of the d-adversary.
+    /// Maximum injected message delay. The sender of each point-to-point
+    /// message stamps it due a uniformly random duration up to this bound
+    /// from now, and the recipient holds it until then — the wall-clock
+    /// analogue of the d-adversary.
     pub max_delay: Duration,
-    /// RNG seed for the delay draws.
+    /// RNG seed for the delay draws (worker `i` draws from `seed + i`).
     pub seed: u64,
     /// Wall-clock cutoff after which the run is abandoned
     /// (`completed == false`).
@@ -109,6 +101,11 @@ pub struct RuntimeConfig {
     /// asynchrony but makes demonstrations one-sided; a small pace (tens
     /// of microseconds) produces genuinely interleaved executions.
     pub step_interval: Duration,
+    /// Optional per-processor overrides of `step_interval` (`None` entries
+    /// keep it; an empty list overrides nothing). This is how stragglers
+    /// run at real concurrency: a slowed processor gets a proportionally
+    /// longer pace.
+    pub pace_overrides: Vec<Option<Duration>>,
 }
 
 impl Default for RuntimeConfig {
@@ -119,14 +116,10 @@ impl Default for RuntimeConfig {
             timeout: Duration::from_secs(10),
             crash_after_steps: Vec::new(),
             step_interval: Duration::ZERO,
+            pace_overrides: Vec::new(),
         }
     }
 }
-
-/// The body of an idempotent task: executed by whichever worker thread
-/// performs it (possibly several times, possibly concurrently — the
-/// Do-All contract). Must be idempotent and thread-safe.
-pub type TaskBody = dyn Fn(TaskId) + Send + Sync;
 
 /// What a threaded run produced: the algorithm-level [`RunReport`] plus
 /// the harness's own accounting ([`RuntimeStats`]).
@@ -140,155 +133,63 @@ pub struct RunOutcome {
     pub stats: RuntimeStats,
 }
 
-/// A fully validated threaded run, ready to execute. Build one with
-/// [`Runtime::builder`]; every invalid configuration is rejected with a
-/// [`RuntimeError`] before any thread is spawned.
-pub struct Runtime {
+/// Runs `procs` on `p` OS threads until some processor knows all tasks
+/// are done or `config.timeout` fires. `body` is the idempotent task
+/// itself: whichever worker performs a task calls it (possibly several
+/// times, possibly concurrently — the Do-All contract); pass `&|_| {}`
+/// for bookkeeping only.
+///
+/// # Errors
+///
+/// Every invalid setup is rejected before any thread is spawned:
+///
+/// - [`RuntimeError::NoProcessors`] if `procs` is empty (`p = 0`);
+/// - [`RuntimeError::ProcessCount`] if `procs.len()` ≠ `p`;
+/// - [`RuntimeError::CrashBudgetLength`] / [`RuntimeError::AllCrashed`]
+///   if a nonempty crash budget list does not cover every processor or
+///   leaves no survivor;
+/// - [`RuntimeError::PaceLength`] if a nonempty pace-override list
+///   does not cover every processor.
+pub fn run(
     instance: Instance,
     procs: Vec<Box<dyn DoAllProcess>>,
-    config: RuntimeConfig,
-    body: Arc<TaskBody>,
-    schedule: CrashSchedule,
-    pace_overrides: Vec<Option<Duration>>,
-}
-
-impl std::fmt::Debug for Runtime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Runtime")
-            .field("instance", &self.instance)
-            .field("config", &self.config)
-            .field("schedule", &self.schedule)
-            .field("pace_overrides", &self.pace_overrides)
-            .finish_non_exhaustive()
+    config: &RuntimeConfig,
+    body: &(dyn Fn(TaskId) + Sync),
+) -> Result<RunOutcome, RuntimeError> {
+    let p = instance.processors();
+    if procs.is_empty() {
+        return Err(RuntimeError::NoProcessors);
     }
-}
-
-impl Runtime {
-    /// Starts building a run from `config`. Chain [`RuntimeBuilder`]
-    /// methods, then call [`RuntimeBuilder::run`] (or
-    /// [`RuntimeBuilder::build`] + [`Runtime::run`]).
-    #[must_use]
-    pub fn builder(config: RuntimeConfig) -> RuntimeBuilder {
-        RuntimeBuilder {
-            config,
-            body: Arc::new(|_| {}),
-            pace_overrides: Vec::new(),
-        }
+    if procs.len() != p {
+        return Err(RuntimeError::ProcessCount {
+            expected: p,
+            got: procs.len(),
+        });
     }
-
-    /// Executes the validated run to completion (or timeout).
-    #[must_use]
-    pub fn run(self) -> RunOutcome {
-        let (report, stats) = scheduler::execute(
-            self.instance,
-            self.procs,
-            &self.config,
-            &self.body,
-            &self.schedule,
-            &self.pace_overrides,
-        );
-        RunOutcome { report, stats }
+    let budgets = &config.crash_after_steps;
+    if !budgets.is_empty() && budgets.len() != p {
+        return Err(RuntimeError::CrashBudgetLength {
+            expected: p,
+            got: budgets.len(),
+        });
     }
-}
-
-/// Builder for [`Runtime`]: optional task body and per-processor pacing
-/// on top of a [`RuntimeConfig`].
-#[derive(Clone)]
-pub struct RuntimeBuilder {
-    config: RuntimeConfig,
-    body: Arc<TaskBody>,
-    pace_overrides: Vec<Option<Duration>>,
-}
-
-impl std::fmt::Debug for RuntimeBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RuntimeBuilder")
-            .field("config", &self.config)
-            .field("pace_overrides", &self.pace_overrides)
-            .finish_non_exhaustive()
+    if !budgets.is_empty() && budgets.iter().all(Option::is_some) {
+        return Err(RuntimeError::AllCrashed);
     }
-}
-
-impl RuntimeBuilder {
-    /// Sets the task body executed each time a state machine performs a
-    /// task — the actual (idempotent) work unit, the paper's abstraction
-    /// made concrete. Defaults to a no-op (bookkeeping only).
-    #[must_use]
-    pub fn tasks(mut self, body: Arc<TaskBody>) -> Self {
-        self.body = body;
-        self
+    if !config.pace_overrides.is_empty() && config.pace_overrides.len() != p {
+        return Err(RuntimeError::PaceLength {
+            expected: p,
+            got: config.pace_overrides.len(),
+        });
     }
-
-    /// Per-processor overrides of the config's `step_interval` (`None`
-    /// entries keep the default). This is how stragglers run at real
-    /// concurrency: a slowed processor gets a proportionally longer pace.
-    #[must_use]
-    pub fn pace_overrides(mut self, overrides: Vec<Option<Duration>>) -> Self {
-        self.pace_overrides = overrides;
-        self
-    }
-
-    /// Validates the whole setup against `instance` and `procs`.
-    ///
-    /// # Errors
-    ///
-    /// - [`RuntimeError::NoProcessors`] if `procs` is empty (`p = 0`);
-    /// - [`RuntimeError::ProcessCount`] if `procs.len()` ≠ `p`;
-    /// - [`RuntimeError::CrashBudgetLength`] / [`RuntimeError::AllCrashed`]
-    ///   for an ill-formed crash budget list;
-    /// - [`RuntimeError::PaceLength`] if a nonempty pace-override list
-    ///   does not cover every processor.
-    pub fn build(
-        self,
-        instance: Instance,
-        procs: Vec<Box<dyn DoAllProcess>>,
-    ) -> Result<Runtime, RuntimeError> {
-        let p = instance.processors();
-        if procs.is_empty() {
-            return Err(RuntimeError::NoProcessors);
-        }
-        if procs.len() != p {
-            return Err(RuntimeError::ProcessCount {
-                expected: p,
-                got: procs.len(),
-            });
-        }
-        let schedule = CrashSchedule::from_budgets(self.config.crash_after_steps.clone(), p)?;
-        if !self.pace_overrides.is_empty() && self.pace_overrides.len() != p {
-            return Err(RuntimeError::PaceLength {
-                expected: p,
-                got: self.pace_overrides.len(),
-            });
-        }
-        Ok(Runtime {
-            instance,
-            procs,
-            config: self.config,
-            body: self.body,
-            schedule,
-            pace_overrides: self.pace_overrides,
-        })
-    }
-
-    /// [`Self::build`] + [`Runtime::run`] in one call.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::build`].
-    pub fn run(
-        self,
-        instance: Instance,
-        procs: Vec<Box<dyn DoAllProcess>>,
-    ) -> Result<RunOutcome, RuntimeError> {
-        Ok(self.build(instance, procs)?.run())
-    }
+    Ok(scheduler::execute(instance, procs, config, body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use doall_core::{BitSet, Message, ProcId, StepOutcome, TaskId};
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Deterministic sweep used to smoke-test the plumbing without
     /// depending on the algorithms crate (those tests live in /tests).
@@ -331,12 +232,18 @@ mod tests {
             .collect()
     }
 
+    /// [`run`] with the default config and a no-op task body.
+    fn run_default(
+        instance: Instance,
+        procs: Vec<Box<dyn DoAllProcess>>,
+    ) -> Result<RunOutcome, RuntimeError> {
+        run(instance, procs, &RuntimeConfig::default(), &|_| {})
+    }
+
     #[test]
     fn solo_sweep_completes() {
         let instance = Instance::new(1, 50).unwrap();
-        let outcome = Runtime::builder(RuntimeConfig::default())
-            .run(instance, sweeps(1, 50))
-            .unwrap();
+        let outcome = run_default(instance, sweeps(1, 50)).unwrap();
         assert!(outcome.report.completed);
         assert!(outcome.report.work >= 50);
         assert_eq!(outcome.report.messages, 0);
@@ -345,9 +252,7 @@ mod tests {
     #[test]
     fn parallel_sweeps_complete() {
         let instance = Instance::new(4, 30).unwrap();
-        let outcome = Runtime::builder(RuntimeConfig::default())
-            .run(instance, sweeps(4, 30))
-            .unwrap();
+        let outcome = run_default(instance, sweeps(4, 30)).unwrap();
         assert!(outcome.report.completed);
         assert!(outcome.report.work >= 30);
         assert_eq!(outcome.report.work_per_processor.len(), 4);
@@ -355,19 +260,12 @@ mod tests {
 
     #[test]
     fn task_body_runs_for_every_performance() {
-        use std::sync::atomic::AtomicU64;
         let instance = Instance::new(2, 20).unwrap();
-        let counter = Arc::new(AtomicU64::new(0));
-        let body = {
-            let counter = Arc::clone(&counter);
-            Arc::new(move |_task: TaskId| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            })
+        let counter = AtomicU64::new(0);
+        let body = |_task: TaskId| {
+            counter.fetch_add(1, Ordering::Relaxed);
         };
-        let outcome = Runtime::builder(RuntimeConfig::default())
-            .tasks(body)
-            .run(instance, sweeps(2, 20))
-            .unwrap();
+        let outcome = run(instance, sweeps(2, 20), &RuntimeConfig::default(), &body).unwrap();
         assert!(outcome.report.completed);
         // Every performing step ran the body; sweeps perform once per step
         // until their own completion.
@@ -400,9 +298,7 @@ mod tests {
             timeout: Duration::from_millis(50),
             ..Default::default()
         };
-        let outcome = Runtime::builder(config)
-            .run(instance, vec![Box::new(Idler)])
-            .unwrap();
+        let outcome = run(instance, vec![Box::new(Idler)], &config, &|_| {}).unwrap();
         assert!(!outcome.report.completed);
         assert_eq!(outcome.report.sigma, None);
     }
@@ -443,24 +339,21 @@ mod tests {
     #[test]
     fn crashed_worker_drains_its_inbox() {
         // Regression: a crashed worker used to sleep without ever reading
-        // its receiver, so the router kept filling the unbounded channel
-        // for the rest of the run. Post-fix the crashed branch drains and
-        // drops each wake, keeping the backlog bounded by one wake's
-        // arrivals instead of the whole run's traffic.
+        // its receiver, so its unbounded channel kept filling for the
+        // rest of the run. The crashed branch drains and drops each
+        // wake, keeping the backlog bounded by one wake's arrivals
+        // instead of the whole run's traffic.
         let t = 300;
         let instance = Instance::new(2, t).unwrap();
-        let procs: Vec<Box<dyn DoAllProcess>> = vec![
-            Box::new(ChattySweep {
-                pid: ProcId::new(0),
-                next: 0,
-                t,
-            }),
-            Box::new(ChattySweep {
-                pid: ProcId::new(1),
-                next: 0,
-                t,
-            }),
-        ];
+        let procs: Vec<Box<dyn DoAllProcess>> = (0..2)
+            .map(|i| {
+                Box::new(ChattySweep {
+                    pid: ProcId::new(i),
+                    next: 0,
+                    t,
+                }) as Box<dyn DoAllProcess>
+            })
+            .collect();
         let config = RuntimeConfig {
             max_delay: Duration::ZERO,
             // Processor 1 crashes before its first step; processor 0 does
@@ -471,7 +364,7 @@ mod tests {
             step_interval: Duration::from_micros(100),
             ..Default::default()
         };
-        let RunOutcome { report, stats } = Runtime::builder(config).run(instance, procs).unwrap();
+        let RunOutcome { report, stats } = run(instance, procs, &config, &|_| {}).unwrap();
         assert!(report.completed, "{report}");
         assert!(
             stats.crashed_drained > 0,
@@ -483,10 +376,7 @@ mod tests {
         );
         assert!(stats.max_crashed_backlog <= stats.crashed_drained);
         // A run without crashes drains nothing.
-        let instance = Instance::new(2, 10).unwrap();
-        let clean = Runtime::builder(RuntimeConfig::default())
-            .run(instance, sweeps(2, 10))
-            .unwrap();
+        let clean = run_default(Instance::new(2, 10).unwrap(), sweeps(2, 10)).unwrap();
         assert_eq!(clean.stats, RuntimeStats::default());
     }
 
@@ -497,11 +387,26 @@ mod tests {
             crash_after_steps: vec![Some(1), Some(1)],
             ..Default::default()
         };
-        let err = Runtime::builder(config)
-            .run(instance, sweeps(2, 2))
-            .unwrap_err();
+        let err = run(instance, sweeps(2, 2), &config, &|_| {}).unwrap_err();
         assert_eq!(err, RuntimeError::AllCrashed);
         assert_eq!(err.to_string(), "at least one processor must survive");
+    }
+
+    #[test]
+    fn crash_budgets_must_cover_every_processor() {
+        let instance = Instance::new(3, 2).unwrap();
+        let config = RuntimeConfig {
+            crash_after_steps: vec![None, Some(1)],
+            ..Default::default()
+        };
+        let err = run(instance, sweeps(3, 2), &config, &|_| {}).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::CrashBudgetLength {
+                expected: 3,
+                got: 2
+            }
+        );
     }
 
     #[test]
@@ -509,18 +414,14 @@ mod tests {
         // The `p = 0` edge of the validation bugfix: an empty state-machine
         // list used to die on an internal assert; now it is a typed error.
         let instance = Instance::new(2, 2).unwrap();
-        let err = Runtime::builder(RuntimeConfig::default())
-            .run(instance, Vec::new())
-            .unwrap_err();
+        let err = run_default(instance, Vec::new()).unwrap_err();
         assert_eq!(err, RuntimeError::NoProcessors);
     }
 
     #[test]
     fn wrong_proc_count_is_rejected() {
         let instance = Instance::new(3, 2).unwrap();
-        let err = Runtime::builder(RuntimeConfig::default())
-            .run(instance, sweeps(2, 2))
-            .unwrap_err();
+        let err = run_default(instance, sweeps(2, 2)).unwrap_err();
         assert_eq!(
             err,
             RuntimeError::ProcessCount {
@@ -533,10 +434,11 @@ mod tests {
     #[test]
     fn pace_overrides_must_cover_every_processor() {
         let instance = Instance::new(3, 3).unwrap();
-        let err = Runtime::builder(RuntimeConfig::default())
-            .pace_overrides(vec![Some(Duration::from_micros(10))])
-            .run(instance, sweeps(3, 3))
-            .unwrap_err();
+        let config = RuntimeConfig {
+            pace_overrides: vec![Some(Duration::from_micros(10))],
+            ..Default::default()
+        };
+        let err = run(instance, sweeps(3, 3), &config, &|_| {}).unwrap_err();
         assert_eq!(
             err,
             RuntimeError::PaceLength {

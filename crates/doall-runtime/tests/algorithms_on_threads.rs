@@ -3,7 +3,7 @@
 
 use doall_algorithms::{Algorithm, Da, PaDet, PaRan1, PaRan2, SoloAll};
 use doall_core::Instance;
-use doall_runtime::{Runtime, RuntimeConfig};
+use doall_runtime::{run, RuntimeConfig};
 use std::time::Duration;
 
 fn config() -> RuntimeConfig {
@@ -13,6 +13,7 @@ fn config() -> RuntimeConfig {
         timeout: Duration::from_secs(20),
         crash_after_steps: Vec::new(),
         step_interval: Duration::from_micros(20),
+        pace_overrides: Vec::new(),
     }
 }
 
@@ -27,9 +28,7 @@ fn all_algorithms_complete_on_threads() {
         Box::new(PaDet::random_for(instance, 0)),
     ];
     for algo in algos {
-        let outcome = Runtime::builder(config())
-            .run(instance, algo.spawn(instance))
-            .expect("valid setup");
+        let outcome = run(instance, algo.spawn(instance), &config(), &|_| {}).expect("valid setup");
         assert!(
             outcome.report.completed,
             "{} did not complete on threads: {}",
@@ -47,9 +46,7 @@ fn threads_with_crashes_still_complete() {
     // Processors 1..3 crash after a handful of steps; processor 0 survives.
     cfg.crash_after_steps = vec![None, Some(3), Some(5), Some(2)];
     let algo = Da::with_default_schedules(2, 7);
-    let outcome = Runtime::builder(cfg)
-        .run(instance, algo.spawn(instance))
-        .expect("valid setup");
+    let outcome = run(instance, algo.spawn(instance), &cfg, &|_| {}).expect("valid setup");
     assert!(
         outcome.report.completed,
         "survivor must finish alone: {}",
@@ -64,9 +61,7 @@ fn cooperation_reduces_per_processor_load() {
     // statistical property of real schedules; keep generous margins.
     let instance = Instance::new(8, 200).unwrap();
     let algo = PaRan2::new(5);
-    let outcome = Runtime::builder(config())
-        .run(instance, algo.spawn(instance))
-        .expect("valid setup");
+    let outcome = run(instance, algo.spawn(instance), &config(), &|_| {}).expect("valid setup");
     assert!(outcome.report.completed);
     let quadratic = 8 * 200;
     assert!(

@@ -2,18 +2,18 @@
 //!
 //! `p` worker threads scan `t` segments of a synthetic signal for a
 //! planted pattern. Each segment scan is an idempotent task; workers
-//! coordinate with PaRan2 over `std::sync::mpsc` channels through a
-//! router that injects random message delays — the wall-clock analogue of the
-//! d-adversary. This exercises `doall-runtime`: the exact same state
-//! machines the simulator drives, under genuine parallelism.
+//! coordinate with PaRan2 over `std::sync::mpsc` channels, and each
+//! recipient holds a message until the random due time its sender
+//! stamped on it — the wall-clock analogue of the d-adversary. This
+//! exercises `doall-runtime`: the exact same state machines the simulator
+//! drives, under genuine parallelism.
 //!
 //! ```text
 //! cargo run --example distributed_search
 //! ```
 
 use doall::prelude::*;
-use doall::runtime::{Runtime, RuntimeConfig};
-use std::sync::Arc;
+use doall::runtime::{self, RuntimeConfig};
 use std::time::Duration;
 
 /// Synthetic "sky": deterministic pseudo-noise with a pattern planted in
@@ -43,6 +43,7 @@ fn main() -> Result<(), doall::CoreError> {
         // Pace the workers so the run genuinely interleaves (a full-speed
         // worker can otherwise finish before its peers are scheduled).
         step_interval: Duration::from_micros(50),
+        pace_overrides: Vec::new(),
     };
 
     // PaRan2: each worker repeatedly picks a uniformly random segment not
@@ -50,18 +51,13 @@ fn main() -> Result<(), doall::CoreError> {
     // randomness budget. The task body actually scans the segment and
     // records hits (idempotently: re-scans re-insert the same hit).
     let algorithm = PaRan2::new(99);
-    let hits = Arc::new(parking_hits::HitSet::new());
-    let body = {
-        let hits = Arc::clone(&hits);
-        Arc::new(move |task: doall::TaskId| {
-            if scan_segment(task.index()) {
-                hits.record(task.index());
-            }
-        })
+    let hits = parking_hits::HitSet::new();
+    let body = |task: doall::TaskId| {
+        if scan_segment(task.index()) {
+            hits.record(task.index());
+        }
     };
-    let report = Runtime::builder(config.clone())
-        .tasks(body.clone())
-        .run(instance, algorithm.spawn(instance))
+    let report = runtime::run(instance, algorithm.spawn(instance), &config, &body)
         .expect("valid setup")
         .report;
 
@@ -82,13 +78,13 @@ fn main() -> Result<(), doall::CoreError> {
 
     // Same search, but workers 1..p die early — the survivor sweeps the
     // rest alone (crash = a thread that stops stepping).
-    let mut crashy = config.clone();
-    crashy.crash_after_steps = (0..p)
-        .map(|i| if i == 0 { None } else { Some(12) })
-        .collect();
-    let report = Runtime::builder(crashy)
-        .tasks(body)
-        .run(instance, algorithm.spawn(instance))
+    let crashy = RuntimeConfig {
+        crash_after_steps: (0..p)
+            .map(|i| if i == 0 { None } else { Some(12) })
+            .collect(),
+        ..config
+    };
+    let report = runtime::run(instance, algorithm.spawn(instance), &crashy, &body)
         .expect("valid setup")
         .report;
     println!("\nwith {p}−1 early crashes: {report}");

@@ -8,7 +8,10 @@
 //! cargo run --release --bin doall -- bounds -p 64 -t 256 -d 16
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 use doall::cli;
+use std::io::{self, Write as _};
 
 #[allow(
     clippy::disallowed_methods,
@@ -19,7 +22,7 @@ fn main() {
     let command = match cli::parse(&args) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", cli::USAGE);
+            let _ = writeln!(io::stderr(), "error: {e}\n\n{}", cli::USAGE);
             std::process::exit(2);
         }
     };
@@ -28,7 +31,7 @@ fn main() {
         // diff-style exit codes: 1 = baseline drift, 2 = trouble.
         Ok(cli::Outcome::Drift) => std::process::exit(1),
         Err(e) => {
-            eprintln!("error: {e}");
+            let _ = writeln!(io::stderr(), "error: {e}");
             std::process::exit(2);
         }
     }

@@ -36,7 +36,8 @@ use doall_bench::grid::{
 use doall_bench::resultset::{load_result_set, BaselineSet, Record, ResultSet};
 use doall_bench::suite::{load_dir, render_sections, run_suite, SuiteConfig};
 use doall_bench::sweep::{run_cells, SweepConfig};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::str::FromStr;
 
@@ -590,17 +591,27 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
 }
 
 /// Writes a command's rendered output to its `--out` file, or to stdout
-/// when no file was given.
+/// when no file was given. A failed write is an error (exit 2), also when
+/// the reader of stdout has gone.
 fn write_out(rendered: &str, out: Option<&str>) -> Result<(), CliError> {
     match out {
         Some(path) => {
             std::fs::write(path, rendered).map_err(|e| err(format!("cannot write {path}: {e}")))
         }
         None => {
-            print!("{rendered}");
-            Ok(())
+            let mut stdout = io::stdout().lock();
+            stdout
+                .write_all(rendered.as_bytes())
+                .and_then(|()| stdout.flush())
+                .map_err(|e| err(format!("cannot write to stdout: {e}")))
         }
     }
+}
+
+/// Writes a human-only view to stderr. These views are not the command's
+/// output, so a failed write is ignored.
+fn note(text: &str) {
+    let _ = io::stderr().write_all(text.as_bytes());
 }
 
 /// Diffs `results` against the result-set file at `path`: the baseline
@@ -622,7 +633,7 @@ fn diff_baseline(results: &ResultSet, path: &str, tolerance: f64) -> Result<Comp
 pub fn execute(command: &Command) -> Result<Outcome, CliError> {
     match command {
         Command::Help => {
-            println!("{USAGE}");
+            write_out(&format!("{USAGE}\n"), None)?;
             Ok(Outcome::Clean)
         }
         Command::Simulate(spec) => {
@@ -642,20 +653,18 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 .max_ticks(CLI_MAX_TICKS)
                 .build()
                 .run();
-            println!(
-                "{} | p={} t={} d={} adversary={}",
+            let text = format!(
+                "{} | p={} t={} d={} adversary={}\n{report}\n\
+                 work/(p·t) = {:.3}   messages/work = {:.2}\n",
                 algo.name(),
                 spec.p,
                 spec.t,
                 spec.d,
-                spec.adversary
-            );
-            println!("{report}");
-            println!(
-                "work/(p·t) = {:.3}   messages/work = {:.2}",
+                spec.adversary,
                 report.work_ratio_to_quadratic(spec.p, spec.t),
                 report.messages_per_work()
             );
+            write_out(&text, None)?;
             if !report.completed {
                 return Err(err("run did not complete within the tick budget"));
             }
@@ -698,7 +707,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             write_out(&rendered, spec.out.as_deref())?;
             if let Some(baseline_path) = &spec.baseline {
                 let comparison = diff_baseline(&results, baseline_path, spec.tolerance)?;
-                eprint!("{}", comparison.render_text());
+                note(&comparison.render_text());
                 if !comparison.is_clean() {
                     return Ok(Outcome::Drift);
                 }
@@ -728,7 +737,7 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             // The human tables go to stderr: their `threads` rows vary
             // from run to run, and stdout / --out must stay
             // byte-deterministic.
-            eprint!("{}", render_sections(&scenarios, &report.results));
+            note(&render_sections(&scenarios, &report.results));
             if let Some(baseline_path) = &spec.baseline {
                 if spec.record {
                     // Regenerate the baseline from this run — but never
@@ -741,18 +750,20 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                         }
                         std::fs::write(baseline_path, report.results.to_json())
                             .map_err(|e| err(format!("cannot write {baseline_path}: {e}")))?;
-                        eprintln!(
-                            "recorded {} ({} cells)",
+                        note(&format!(
+                            "recorded {} ({} cells)\n",
                             baseline_path,
                             report.results.records.len()
-                        );
+                        ));
                     } else {
-                        eprintln!("refusing to record {baseline_path}: the suite is failing");
+                        note(&format!(
+                            "refusing to record {baseline_path}: the suite is failing\n"
+                        ));
                     }
                 } else {
                     let comparison = diff_baseline(&report.results, baseline_path, spec.tolerance)?;
                     if !comparison.is_clean() {
-                        eprint!("{}", comparison.render_text());
+                        note(&comparison.render_text());
                     }
                     report.comparison = Some(comparison);
                 }
@@ -791,21 +802,22 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             let sched = Schedules::random(*p, *n, *seed);
             // d = 1 is Anderson & Woll's Cont(Σ).
             let cont = crate::perms::d_contention_of_list(sched.as_slice(), 1);
-            println!("random list: {p} schedules over [{n}] (seed {seed})");
-            println!(
-                "Cont(Σ) = {} ({})",
+            let mut text = format!(
+                "random list: {p} schedules over [{n}] (seed {seed})\nCont(Σ) = {} ({})\n\
+                 {:>6} {:>12} {:>14} {:>8}\n",
                 cont.value,
-                if cont.exact { "exact" } else { "estimate" }
-            );
-            println!(
-                "{:>6} {:>12} {:>14} {:>8}",
-                "d", "(d)-Cont", "Thm 4.4 bound", "ratio"
+                if cont.exact { "exact" } else { "estimate" },
+                "d",
+                "(d)-Cont",
+                "Thm 4.4 bound",
+                "ratio"
             );
             let mut d = 1usize;
             while d <= *n {
                 let dc = crate::perms::d_contention_of_list(sched.as_slice(), d);
                 let th = crate::perms::dcont_threshold(*n, *p, d);
-                println!(
+                let _ = writeln!(
+                    text,
                     "{d:>6} {:>12} {:>14.1} {:>8.3}",
                     dc.value,
                     th,
@@ -813,33 +825,36 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 );
                 d *= 2;
             }
+            write_out(&text, None)?;
             Ok(Outcome::Clean)
         }
         Command::Bounds { p, t, d } => {
             if *p == 0 || *t == 0 || *d == 0 {
                 return Err(err("-p, -t, -d must be positive"));
             }
-            println!("bounds for p={p}, t={t}, d={d}:");
-            println!(
-                "  lower bound (Thm 3.1/3.4):  {:.0}",
-                bounds::lower_bound_work(*p, *t, *d)
-            );
-            println!(
-                "  DA upper (Thm 5.5, ε=0.5):  {:.0}",
-                bounds::da_upper_bound(*p, *t, *d, 0.5)
-            );
-            println!(
-                "  PA upper (Cor 6.4/6.5):     {:.0}",
-                bounds::pa_upper_bound(*p, *t, *d)
-            );
-            println!(
-                "  PA messages (Cor 6.4/6.5):  {:.0}",
-                bounds::pa_message_bound(*p, *t, *d)
-            );
-            println!(
-                "  oblivious ceiling p·t:      {:.0}",
-                bounds::oblivious_work(*p, *t)
-            );
+            let mut text = format!("bounds for p={p}, t={t}, d={d}:\n");
+            for (label, value) in [
+                (
+                    "lower bound (Thm 3.1/3.4):",
+                    bounds::lower_bound_work(*p, *t, *d),
+                ),
+                (
+                    "DA upper (Thm 5.5, ε=0.5):",
+                    bounds::da_upper_bound(*p, *t, *d, 0.5),
+                ),
+                (
+                    "PA upper (Cor 6.4/6.5):",
+                    bounds::pa_upper_bound(*p, *t, *d),
+                ),
+                (
+                    "PA messages (Cor 6.4/6.5):",
+                    bounds::pa_message_bound(*p, *t, *d),
+                ),
+                ("oblivious ceiling p·t:", bounds::oblivious_work(*p, *t)),
+            ] {
+                let _ = writeln!(text, "  {label:<26}  {value:.0}");
+            }
+            write_out(&text, None)?;
             Ok(Outcome::Clean)
         }
     }

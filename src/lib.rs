@@ -29,8 +29,9 @@
 //! * [`perms`] — permutations, left-to-right maxima, contention and the
 //!   delay-sensitive `d`-contention (Section 4), with certified
 //!   low-contention schedule search.
-//! * [`bounds`] — every closed-form bound in the paper, for
-//!   measured-vs-bound experiment tables.
+//! * [`bounds`] — the closed-form work and message bounds, for
+//!   measured-vs-bound experiment tables (Section 4's contention bounds
+//!   are in [`perms`]).
 //! * [`runtime`] — the same algorithms on real OS threads with delayed
 //!   channels.
 //!
@@ -61,6 +62,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Output goes through `cli`'s writers, which turn a closed stdout into an
+// error (exit 2) instead of the panic of `print!`.
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod cli;
 

@@ -3,8 +3,9 @@
 //! text on stderr. `cli::tests` check the `Outcome` values; only `main`
 //! maps them to exit codes.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn doall(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_doall"))
@@ -25,6 +26,34 @@ fn parse_errors_exit_2_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag --algo"), "{stderr}");
     assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_exits_2_without_a_panic() {
+    // 3000 cells render about 480 kB, far more than a pipe buffers, so
+    // the write is still going when the reader hangs up.
+    let ds: Vec<String> = (1..=3000).map(|d| d.to_string()).collect();
+    let grid = format!(
+        "algos=soloall advs=unit shapes=2x2 ds={} seeds=1 seed=0",
+        ds.join(",")
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_doall"))
+        .args(["sweep", "--grid", &grid])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn doall");
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    let mut head = [0u8; 16];
+    stdout
+        .read_exact(&mut head)
+        .expect("read the table's first bytes");
+    drop(stdout);
+    let out = child.wait_with_output().expect("wait for doall");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot write to stdout"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -188,7 +188,7 @@ fn execution_profile_quantifies_redundancy() {
 
 #[test]
 fn gossip_on_real_threads() {
-    use doall::runtime::{Runtime, RuntimeConfig};
+    use doall::runtime::{run, RuntimeConfig};
     use std::time::Duration;
     let instance = Instance::new(6, 30).unwrap();
     let config = RuntimeConfig {
@@ -197,10 +197,9 @@ fn gossip_on_real_threads() {
         timeout: Duration::from_secs(20),
         crash_after_steps: Vec::new(),
         step_interval: Duration::from_micros(20),
+        pace_overrides: Vec::new(),
     };
     let algo = PaGossip::new(4, 2);
-    let outcome = Runtime::builder(config)
-        .run(instance, algo.spawn(instance))
-        .expect("valid setup");
+    let outcome = run(instance, algo.spawn(instance), &config, &|_| {}).expect("valid setup");
     assert!(outcome.report.completed, "{}", outcome.report);
 }
