@@ -10,7 +10,7 @@ use doall_bench::sweep::{run_cells, SweepConfig};
 
 /// `(grid, mean_work, mean_messages)`.
 const PINS: [(&str, f64, f64); 4] = [
-    // DA payloads on chunks, delivered by the coalescing bus.
+    // DA payloads on chunks, merged into one union per instant.
     (
         "algos=da:4 advs=unit shapes=16400x16400 ds=1 seeds=1 seed=0",
         377_200.0,
@@ -23,7 +23,7 @@ const PINS: [(&str, f64, f64); 4] = [
         199_753.0,
         3_198.0,
     ),
-    // Per-recipient delays: the `Mailboxes` engine.
+    // Per-recipient delays: one group per distinct delay.
     (
         "algos=da:3 advs=random shapes=256x8192 ds=4 seeds=2 seed=0",
         28_672.0,

@@ -1,23 +1,27 @@
-//! Property tests for three "must not perturb results" claims:
+//! Property tests for four "must not perturb results" claims:
 //!
 //! 1. **Tracing is an observer.** A run built with `TraceMode::Off`
 //!    (the monomorphized trace-free loop) and the same run built with
 //!    `TraceMode::Buffered` produce identical [`RunReport`]s, for random
-//!    algorithm × adversary × shape draws across both delivery engines
-//!    (bus and per-recipient).
+//!    algorithm × adversary × shape draws across both fan-out paths
+//!    (uniform and per-recipient).
 //! 2. **Arena recycling is invisible.** `Simulation::run_batch` (one
-//!    recycled proc vector + mailbox/bus arena across replicates) is
+//!    recycled proc vector + mailbox arena across replicates) is
 //!    byte-identical to constructing a fresh `Simulation` per replicate —
 //!    and the sweep engine built on it is byte-identical across
 //!    `--threads {1, 8}` × `--shard-size {1, auto}`.
 //! 3. **`Delivery::UniformBroadcast` is recipient-oblivious.** Every
-//!    adversary that declares it (and so runs on the broadcast bus) gives
-//!    the same [`RunReport`] when a wrapper forces the per-recipient
-//!    mailbox engine.
+//!    adversary that declares it (and so has its broadcasts merged into
+//!    one union per instant) gives the same [`RunReport`] when a wrapper
+//!    forces per-recipient delays.
+//! 4. **The broadcast calendar is exact.** Every run gives the same
+//!    [`RunReport`] when each full broadcast is sent instead as a
+//!    multicast to every other processor, which the simulator keeps as
+//!    per-recipient envelopes.
 
 use doall_bench::grid::{build_adversary, build_algorithm, AdversarySpec, Grid};
 use doall_bench::sweep::{run_cells, SweepConfig};
-use doall_core::{DoAllProcess, Instance, ProcId, RunReport};
+use doall_core::{DoAllProcess, Instance, Message, ProcId, RunReport, StepOutcome};
 use doall_sim::{Adversary, Delivery, Mailboxes, SimView, Simulation, TraceMode};
 use proptest::prelude::*;
 
@@ -27,27 +31,30 @@ const ALGOS: &[&str] = &[
     "soloall", "oblido", "da:3", "paran1", "paran2", "padet", "gossip:2",
 ];
 
-/// Adversaries covering both delivery engines: the first four declare
-/// `UniformBroadcast` (bus), the rest stay per-recipient (stateful RNG,
-/// mailbox-peeking lower-bound constructions, crash/straggler wrappers).
+/// Adversaries covering both fan-out paths: the first six declare
+/// `UniformBroadcast` (one union per instant; the lower-bound
+/// constructions peek at it), the rest stay per-recipient (stateful RNG,
+/// crash/straggler wrappers).
 const ADVS: &[&str] = &[
     "unit",
     "fixed",
     "stage",
     "bursty:3",
-    "random",
     "lbrand:4",
+    "lb",
+    "random",
     "crash:25@burst",
     "straggler:50:2",
 ];
 
 /// How many keys at the head of [`ADVS`] declare `UniformBroadcast`.
-const UNIFORM: usize = 4;
+const UNIFORM: usize = 6;
 
 const MAX_TICKS: u64 = 200_000;
 
 /// Delegates every power of the wrapped adversary but keeps the default
-/// `Delivery::PerRecipient`, so the simulator takes the mailbox engine.
+/// `Delivery::PerRecipient`, so the simulator asks for one delay per
+/// recipient and keeps one group per distinct delay.
 struct ForcePerRecipient(Box<dyn Adversary>);
 
 impl Adversary for ForcePerRecipient {
@@ -66,6 +73,47 @@ impl Adversary for ForcePerRecipient {
 
     fn message_delay(&mut self, view: &SimView<'_>, from: ProcId, to: ProcId) -> u64 {
         self.0.message_delay(view, from, to)
+    }
+}
+
+/// Sends each full broadcast of the wrapped process as a multicast to
+/// every other processor: the same `p − 1` messages, kept as
+/// per-recipient envelopes. A per-recipient adversary is asked the same
+/// delays in the same order; a uniform one is asked once per recipient
+/// instead of once per broadcast, which its promise makes equivalent.
+struct AsMulticast {
+    inner: Box<dyn DoAllProcess>,
+    processors: usize,
+}
+
+impl DoAllProcess for AsMulticast {
+    fn pid(&self) -> ProcId {
+        self.inner.pid()
+    }
+
+    fn step(&mut self, inbox: &[Message]) -> StepOutcome {
+        let mut outcome = self.inner.step(inbox);
+        if outcome.broadcast.is_some() && outcome.targets.is_none() {
+            let me = self.pid().index();
+            outcome.targets = Some(
+                (0..self.processors)
+                    .filter(|&to| to != me)
+                    .map(ProcId::new)
+                    .collect(),
+            );
+        }
+        outcome
+    }
+
+    fn knows_all_done(&self) -> bool {
+        self.inner.knows_all_done()
+    }
+
+    fn clone_box(&self) -> Box<dyn DoAllProcess> {
+        Box::new(AsMulticast {
+            inner: self.inner.clone_box(),
+            processors: self.processors,
+        })
     }
 }
 
@@ -92,8 +140,8 @@ fn run_with(
     (report, trace_out.is_some())
 }
 
-/// The property below compares the bus with the mailbox engine only if
-/// the keys it draws really run on the bus.
+/// The property below compares the union with per-recipient delays only
+/// if the keys it draws really declare `UniformBroadcast`.
 #[test]
 fn uniform_adversaries_declare_uniform_broadcast() {
     for (i, adv) in ADVS.iter().enumerate() {
@@ -134,7 +182,8 @@ proptest! {
     }
 
     /// Claim 3: an adversary declaring `UniformBroadcast` yields the same
-    /// report on the bus as on the forced per-recipient engine.
+    /// report with its broadcasts merged into unions as with forced
+    /// per-recipient delays.
     #[test]
     fn uniform_broadcast_equals_forced_per_recipient(
         algo_idx in 0..ALGOS.len(),
@@ -161,10 +210,11 @@ proptest! {
                 .build()
                 .run()
         };
-        let bus = run(adversary());
+        let union = run(adversary());
         let per_recipient = run(Box::new(ForcePerRecipient(adversary())));
-        prop_assert_eq!(bus, per_recipient, "the bus perturbed {}/{}", algo, adv);
+        prop_assert_eq!(union, per_recipient, "the union perturbed {}/{}", algo, adv);
     }
+
 
     /// Claim 2a: the recycled-arena `run_batch` equals per-replicate
     /// construction, report for report.
@@ -243,6 +293,56 @@ proptest! {
         }
         for other in &results[1..] {
             prop_assert_eq!(&results[0], other, "thread/shard config changed results");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Claim 4: every algorithm × adversary pair yields the same report
+    /// from the calendar as from per-recipient envelopes. `p` reaches
+    /// 140, so a slot can hold more than 128 groups: three blocks of
+    /// recipient masks.
+    #[test]
+    fn calendar_equals_envelopes(
+        p in 2usize..=140,
+        t_mult in 1usize..=4,
+        d in 1u64..=6,
+        seed in 0u64..1_000,
+    ) {
+        let t = p * t_mult;
+        let instance = Instance::new(p, t).expect("valid shape");
+        for algo in ALGOS {
+            for adv in ADVS {
+                let spec = AdversarySpec::parse(adv).expect("valid adversary key");
+                let run = |multicast: bool| {
+                    let procs = build_algorithm(algo, instance, seed)
+                        .expect("valid algo key")
+                        .spawn(instance)
+                        .into_iter()
+                        .map(|inner| {
+                            if multicast {
+                                Box::new(AsMulticast { inner, processors: p })
+                            } else {
+                                inner
+                            }
+                        })
+                        .collect();
+                    Simulation::builder(instance)
+                        .procs(procs)
+                        .adversary(build_adversary(&spec, p, t, d, seed, MAX_TICKS))
+                        .max_ticks(MAX_TICKS)
+                        .build()
+                        .run()
+                };
+                prop_assert_eq!(
+                    run(false),
+                    run(true),
+                    "the calendar perturbed {}/{} at p={} t={} d={} seed={}",
+                    algo, adv, p, t, d, seed
+                );
+            }
         }
     }
 }

@@ -104,7 +104,7 @@ impl StepOutcome {
 ///   engine relies on this — it may split one broadcast into `p − 1`
 ///   envelopes or coalesce several same-instant broadcasts into one
 ///   message whose payload is their union (see `doall-sim`'s
-///   `BroadcastBus`), and a processor may receive its own payload
+///   `Mailboxes`), and a processor may receive its own payload
 ///   reflected back within such a union. Either way the union of received
 ///   bits is identical.
 ///

@@ -84,12 +84,14 @@ pub struct RuntimeConfig {
     /// Maximum injected message delay. The sender of each point-to-point
     /// message stamps it due a uniformly random duration up to this bound
     /// from now, and the recipient holds it until then — the wall-clock
-    /// analogue of the d-adversary.
+    /// analogue of the d-adversary. A due time too far out for `Instant`
+    /// is never reached.
     pub max_delay: Duration,
     /// RNG seed for the delay draws (worker `i` draws from `seed + i`).
     pub seed: u64,
     /// Wall-clock cutoff after which the run is abandoned
-    /// (`completed == false`).
+    /// (`completed == false`). A cutoff too far out for `Instant` means
+    /// none.
     pub timeout: Duration,
     /// Optional per-processor step budgets: processor `i` stops stepping
     /// after `crash_after_steps[i]` steps (`None` = never). At least one
@@ -378,6 +380,41 @@ mod tests {
         // A run without crashes drains nothing.
         let clean = run_default(Instance::new(2, 10).unwrap(), sweeps(2, 10)).unwrap();
         assert_eq!(clean.stats, RuntimeStats::default());
+    }
+
+    #[test]
+    fn unbounded_timeout_means_no_deadline() {
+        let config = RuntimeConfig {
+            timeout: Duration::MAX,
+            ..Default::default()
+        };
+        let instance = Instance::new(1, 4).unwrap();
+        let outcome = run(instance, sweeps(1, 4), &config, &|_| {}).unwrap();
+        assert!(outcome.report.completed);
+    }
+
+    #[test]
+    fn unrepresentable_due_times_are_never_due() {
+        let t = 64;
+        let procs: Vec<Box<dyn DoAllProcess>> = (0..2)
+            .map(|i| {
+                Box::new(ChattySweep {
+                    pid: ProcId::new(i),
+                    next: 0,
+                    t,
+                }) as Box<dyn DoAllProcess>
+            })
+            .collect();
+        let config = RuntimeConfig {
+            max_delay: Duration::MAX,
+            ..Default::default()
+        };
+        let outcome = run(Instance::new(2, t).unwrap(), procs, &config, &|_| {}).unwrap();
+        assert!(outcome.report.completed, "{}", outcome.report);
+        assert!(
+            outcome.report.messages > 0,
+            "every broadcast is still charged"
+        );
     }
 
     #[test]

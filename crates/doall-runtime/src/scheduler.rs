@@ -36,7 +36,9 @@ struct Shared<'a> {
     /// the set stays valid if a worker panics holding the lock: both lock
     /// sites recover a poisoned guard.
     ground_truth: Mutex<BitSet>,
-    deadline: Instant,
+    /// `None` when `start + timeout` is past what `Instant` can
+    /// represent: the run then has no deadline.
+    deadline: Option<Instant>,
 }
 
 /// Runs `procs` on `p` scoped OS threads until some processor knows all
@@ -57,7 +59,7 @@ pub(crate) fn execute(
         senders,
         done: AtomicBool::new(false),
         ground_truth: Mutex::new(BitSet::new(instance.tasks())),
-        deadline: start + config.timeout,
+        deadline: start.checked_add(config.timeout),
     };
     let counts: Vec<(u64, u64, RuntimeStats)> = std::thread::scope(|scope| {
         let shared = &shared;
@@ -119,7 +121,7 @@ impl Shared<'_> {
         let mut inbox: Vec<Message> = Vec::new();
         loop {
             let now = Instant::now();
-            if self.done.load(Ordering::Acquire) || now >= self.deadline {
+            if self.done.load(Ordering::Acquire) || self.deadline.is_some_and(|d| now >= d) {
                 break;
             }
             if budget.is_some_and(|b| steps >= b) {
@@ -152,7 +154,16 @@ impl Shared<'_> {
                 let sent_at = Instant::now();
                 for to in recipients.into_iter().filter(|&to| to != pid && to < p) {
                     sent += 1;
-                    let due = sent_at + config.max_delay.mul_f64(rng.random::<f64>());
+                    let delay = config.max_delay.as_secs_f64() * rng.random::<f64>();
+                    // A due time past what `Instant` can represent is
+                    // never reached: the message stays in flight for
+                    // good, so it is not sent.
+                    let Some(due) = Duration::try_from_secs_f64(delay)
+                        .ok()
+                        .and_then(|delay| sent_at.checked_add(delay))
+                    else {
+                        continue;
+                    };
                     let msg = Message::new(ProcId::new(pid), Arc::clone(&bits));
                     // A recipient that has left its loop has dropped its
                     // receiver; the send is moot.

@@ -24,7 +24,7 @@
 //! `p/64` processors survive the stage unfrozen while all of `J_s` remains
 //! unperformed.
 
-use super::Adversary;
+use super::{Adversary, Delivery};
 use crate::{Mailboxes, SimView};
 use doall_core::{DoAllProcess, ProcId};
 use rand::rngs::StdRng;
@@ -173,6 +173,12 @@ impl Adversary for RandomizedLbAdversary {
 
     fn message_delay(&mut self, view: &SimView<'_>, _from: ProcId, _to: ProcId) -> u64 {
         (view.now / self.stage_len + 1) * self.stage_len - view.now
+    }
+
+    /// The delay is a function of `now` alone: every broadcast of a
+    /// stage joins the union delivered at its boundary.
+    fn delivery(&self) -> Delivery {
+        Delivery::UniformBroadcast
     }
 }
 

@@ -26,7 +26,7 @@
 //! cannot arrive mid-stage). For randomized algorithms use
 //! [`super::RandomizedLbAdversary`].
 
-use super::Adversary;
+use super::{Adversary, Delivery};
 use crate::{Mailboxes, SimView};
 use doall_core::{DoAllProcess, ProcId};
 
@@ -213,6 +213,12 @@ impl Adversary for LowerBoundAdversary {
     fn message_delay(&mut self, view: &SimView<'_>, _from: ProcId, _to: ProcId) -> u64 {
         // Deliver exactly at the next stage boundary: delay ≤ L ≤ d.
         (view.now / self.stage_len + 1) * self.stage_len - view.now
+    }
+
+    /// The delay is a function of `now` alone: every broadcast of a
+    /// stage joins the union delivered at its boundary.
+    fn delivery(&self) -> Delivery {
+        Delivery::UniformBroadcast
     }
 }
 

@@ -26,8 +26,8 @@ pub use slow::{RandomSubset, RoundRobin};
 use crate::{Mailboxes, SimView};
 use doall_core::{DoAllProcess, ProcId};
 
-/// How an adversary exercises its delay power — which delivery engine
-/// the simulator may use.
+/// How an adversary exercises its delay power — how the simulator may
+/// fan out a full broadcast.
 ///
 /// This is a *promise made by the adversary*: declaring
 /// [`UniformBroadcast`](Self::UniformBroadcast) without honouring its
@@ -35,27 +35,27 @@ use doall_core::{DoAllProcess, ProcId};
 /// at run time; the property test
 /// `uniform_broadcast_equals_forced_per_recipient` in
 /// `crates/doall-bench/tests/trace_equivalence.rs` checks it for every
-/// uniform adversary key against the forced per-recipient engine.
+/// uniform adversary key against forced per-recipient delays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Delivery {
     /// The general case (and the default): delays may differ per
     /// recipient, or depend on adversary state advanced per
-    /// [`message_delay`](Adversary::message_delay) call (seeded RNGs), or
-    /// the adversary inspects pending mailboxes when scheduling. The
-    /// simulator materializes one in-flight message per recipient and
-    /// calls `message_delay` once per `(from, to)` pair, in recipient
-    /// order.
+    /// [`message_delay`](Adversary::message_delay) call (seeded RNGs).
+    /// The simulator calls `message_delay` once per `(from, to)` pair, in
+    /// recipient order, and stores the payload once per distinct delay
+    /// with the set of recipients it reaches (see [`Mailboxes`]).
     #[default]
     PerRecipient,
-    /// The adversary promises that (1) `message_delay` is a pure
-    /// function of the view and the sender — the same value for every
-    /// recipient of a broadcast, with no per-call state advanced — and
-    /// (2) its scheduling never reads the mailboxes. The simulator may
-    /// then call `message_delay` once per broadcast and deliver full
-    /// broadcasts through the shared [`crate::BroadcastBus`], which
-    /// stores each payload once and coalesces same-instant broadcasts by
-    /// union instead of materializing `p − 1` envelopes. Work, message,
-    /// and σ accounting are unchanged — only the delivery engine is.
+    /// The adversary promises that `message_delay` is a pure function of
+    /// the view and the sender — the same value for every recipient of a
+    /// broadcast, with no per-call state advanced. The simulator then
+    /// calls `message_delay` once per broadcast and merges the full
+    /// broadcasts due at one instant into one union payload, delivered
+    /// as one message — sound by the [`doall_core::DoAllProcess`] inbox
+    /// contract. Scheduling may still read the mailboxes: a peek sees the
+    /// same union. The lower-bound adversaries (`lb`, `lbrand`), whose
+    /// delay is "until the next stage boundary", declare it. Work,
+    /// message, and σ accounting are unchanged.
     UniformBroadcast,
 }
 
@@ -101,14 +101,14 @@ pub trait Adversary: Send {
         1
     }
 
-    /// Which delivery engine this adversary's promises allow (see
+    /// Which broadcast fan-out this adversary's promises allow (see
     /// [`Delivery`]). Defaults to the fully general
     /// [`Delivery::PerRecipient`]; adversaries whose delays are
-    /// recipient-oblivious and stateless, and whose scheduling ignores
-    /// the mailboxes, should return
-    /// [`Delivery::UniformBroadcast`] to unlock the zero-copy broadcast
-    /// bus. Wrappers that delegate `message_delay` to an inner adversary
-    /// must delegate this too.
+    /// recipient-oblivious and stateless should return
+    /// [`Delivery::UniformBroadcast`], so that the simulator asks for one
+    /// delay per broadcast and merges same-instant broadcasts into one
+    /// union. Wrappers that delegate `message_delay` to an inner
+    /// adversary must delegate this too.
     fn delivery(&self) -> Delivery {
         Delivery::PerRecipient
     }

@@ -55,7 +55,7 @@ mod trace;
 mod view;
 
 pub use adversary::{Adversary, Delivery};
-pub use network::{BroadcastBus, Mailboxes};
+pub use network::Mailboxes;
 pub use sim::{Simulation, SimulationBuilder, DEFAULT_MAX_TICKS};
 pub use trace::{Trace, TraceEvent, TraceMode};
 pub use view::SimView;

@@ -3,7 +3,7 @@
 
 use crate::adversary::Delivery;
 use crate::trace::{NoTrace, Recorder};
-use crate::{Adversary, BroadcastBus, Mailboxes, SimView, Trace, TraceEvent, TraceMode};
+use crate::{Adversary, Mailboxes, SimView, Trace, TraceEvent, TraceMode};
 use doall_core::{
     BitSet, DoAllProcess, Instance, Message, MessageTally, ProcId, RunReport, WorkTally,
 };
@@ -162,12 +162,11 @@ impl SimulationBuilder {
     }
 }
 
-/// The recycled per-run scratch state: both delivery engines, the
-/// ground-truth task set, the work tally, and the inbox buffer. A batch
-/// resets one arena per replicate instead of reallocating any of it.
+/// The recycled per-run scratch state: the mailboxes, the ground-truth
+/// task set, the work tally, and the inbox buffer. A batch resets one
+/// arena per replicate instead of reallocating any of it.
 struct SimArena {
     mailboxes: Mailboxes,
-    bus: BroadcastBus,
     tasks_done: BitSet,
     work: WorkTally,
     inbox: Vec<Message>,
@@ -177,7 +176,6 @@ impl SimArena {
     fn new() -> Self {
         Self {
             mailboxes: Mailboxes::new(0),
-            bus: BroadcastBus::new(0),
             tasks_done: BitSet::new(0),
             work: WorkTally::new(0),
             inbox: Vec::new(),
@@ -186,7 +184,6 @@ impl SimArena {
 
     fn reset(&mut self, processors: usize, tasks: usize) {
         self.mailboxes.reset(processors);
-        self.bus.reset(processors);
         if self.tasks_done.len() == tasks {
             self.tasks_done.clear();
         } else {
@@ -223,8 +220,8 @@ impl Simulation {
     /// outer parallelism.
     ///
     /// `procs_for` *fills* a recycled vector rather than returning a
-    /// fresh one, and every run reuses one arena (mailboxes, broadcast
-    /// bus, tallies, inbox scratch), so a batch's per-replicate
+    /// fresh one, and every run reuses one arena (mailboxes, tallies,
+    /// inbox scratch), so a batch's per-replicate
     /// allocations are only what the algorithms themselves allocate.
     /// Runs are untraced; reports are byte-identical to per-replicate
     /// construction via [`Simulation::builder`].
@@ -361,9 +358,6 @@ fn execute<R: Recorder>(
                 continue;
             }
             arena.inbox.clear();
-            if delivery == Delivery::UniformBroadcast {
-                arena.bus.deliver_into(pid, now, &mut arena.inbox);
-            }
             arena.mailboxes.drain_due_into(pid, now, &mut arena.inbox);
             let outcome = procs[pid].step(&arena.inbox);
             arena.work.charge(pid);
@@ -383,8 +377,8 @@ fn execute<R: Recorder>(
                 let from = ProcId::new(pid);
                 match outcome.targets {
                     None => {
-                        // Full broadcast: `p − 1` messages charged either
-                        // way; the delivery engine differs.
+                        // Full broadcast: `p − 1` messages charged, and
+                        // the payload stored in the broadcast calendar.
                         let recipients = p - 1;
                         msgs.charge(recipients as u64);
                         if R::ENABLED {
@@ -399,8 +393,8 @@ fn execute<R: Recorder>(
                                 Delivery::UniformBroadcast => {
                                     // One delay per broadcast (the
                                     // adversary promised it is
-                                    // recipient-oblivious), one shared
-                                    // payload on the bus.
+                                    // recipient-oblivious), merged into
+                                    // its instant's union.
                                     let view = SimView {
                                         now,
                                         processors: p,
@@ -416,31 +410,24 @@ fn execute<R: Recorder>(
                                         delay >= 1,
                                         "message delays are at least one time unit"
                                     );
-                                    arena.bus.push(from, now + delay, &bits);
+                                    arena.mailboxes.broadcast_uniform(from, now + delay, &bits);
                                 }
                                 Delivery::PerRecipient => {
-                                    for to in (0..p).filter(|&to| to != pid) {
-                                        let view = SimView {
-                                            now,
-                                            processors: p,
-                                            tasks: t,
-                                            tasks_done: &arena.tasks_done,
-                                        };
+                                    let view = SimView {
+                                        now,
+                                        processors: p,
+                                        tasks: t,
+                                        tasks_done: &arena.tasks_done,
+                                    };
+                                    arena.mailboxes.broadcast_per_recipient(from, &bits, |to| {
                                         let delay =
                                             adversary.message_delay(&view, from, ProcId::new(to));
                                         assert!(
                                             delay >= 1,
                                             "message delays are at least one time unit"
                                         );
-                                        // Zero-copy fan-out: every
-                                        // envelope shares the one payload
-                                        // allocation.
-                                        arena.mailboxes.push(
-                                            to,
-                                            now + delay,
-                                            Message::new(from, Arc::clone(&bits)),
-                                        );
-                                    }
+                                        now + delay
+                                    });
                                 }
                             }
                         }
@@ -486,6 +473,7 @@ fn execute<R: Recorder>(
                 informed = Some(ProcId::new(pid));
             }
         }
+        arena.mailboxes.end_instant(now);
 
         if let Some(pid) = informed {
             // σ per Definition 2.1: every step completed at time σ is
