@@ -714,8 +714,8 @@ pub fn schedules_for_algo(key: &str, instance: Instance, seed: u64) -> Option<Sc
         "oblido-searched" => Some(search::low_contention_list(n, seed).0),
         "oblido-worst" => Some(Schedules::worst(n, n)),
         "padet" => Some(PaDet::random_for(instance, seed).schedules().clone()),
-        "padet-rot" => Some(rotation_schedules(instance.processors(), instance.tasks())),
-        "padet-affine" => affine_schedules(instance.processors(), instance.tasks(), seed).ok(),
+        "padet-rot" => Some(rotation_schedules(instance.processors(), n)),
+        "padet-affine" => affine_schedules(instance.processors(), n, seed).ok(),
         _ => None,
     }
 }
@@ -726,14 +726,15 @@ pub fn schedules_for_algo(key: &str, instance: Instance, seed: u64) -> Option<Sc
 /// Keys: `soloall`, `oblido` (random list), `oblido-searched` (certified
 /// low-contention list), `oblido-worst` (identical permutations),
 /// `da:<q>`, `paran1`, `paran2`, `padet` (random list), `padet-rot`
-/// (rotations), `padet-affine` (affine maps; requires prime `t`),
+/// (rotations), `padet-affine` (affine maps; requires a prime job count
+/// `min(p, t)`),
 /// `gossip:<fanout>`, and `none` (skip simulation).
 ///
 /// # Errors
 ///
 /// Returns a [`GridError`] for an unknown key, a bad parameter, or a key
 /// whose preconditions the instance does not meet (e.g. `padet-affine`
-/// over a composite task count).
+/// over a composite job count).
 pub fn build_algorithm(
     key: &str,
     instance: Instance,
@@ -760,8 +761,12 @@ pub fn build_algorithm(
             schedules_for_algo(key, instance, seed).expect("rotations always exist"),
         )),
         "padet-affine" => Box::new(PaDet::new(
-            schedules_for_algo(key, instance, seed)
-                .ok_or_else(|| err("padet-affine requires a prime task count"))?,
+            schedules_for_algo(key, instance, seed).ok_or_else(|| {
+                err(format!(
+                    "padet-affine needs a prime job count min(p, t), not {}",
+                    instance.units()
+                ))
+            })?,
         )),
         ALGO_NONE => return Err(err("algorithm `none` skips simulation; nothing to build")),
         _ => unreachable!("validated"),
@@ -1185,25 +1190,37 @@ mod tests {
 
     #[test]
     fn builds_every_documented_key() {
-        let instance = Instance::new(5, 5).unwrap();
-        for key in [
-            "soloall",
-            "oblido",
-            "oblido-searched",
-            "oblido-worst",
-            "da:2",
-            // da:5..=8 are valid too but their certified schedule search is
-            // too slow for a debug-mode unit test; CI's release smoke run
-            // exercises them via e13.
-            "da:4",
-            "paran1",
-            "paran2",
-            "padet",
-            "padet-rot",
-            "padet-affine",
-            "gossip:2",
-        ] {
-            assert!(build_algorithm(key, instance, 1).is_ok(), "{key}");
+        // Both shapes have 5 jobs: more tasks than processors, and more
+        // processors than tasks.
+        for (p, t) in [(5, 13), (13, 5)] {
+            let instance = Instance::new(p, t).unwrap();
+            for key in [
+                "soloall",
+                "oblido",
+                "oblido-searched",
+                "oblido-worst",
+                "da:2",
+                // da:5..=8 are valid too but their certified schedule search is
+                // too slow for a debug-mode unit test; CI's release smoke run
+                // exercises them via e13.
+                "da:4",
+                "paran1",
+                "paran2",
+                "padet",
+                "padet-rot",
+                "padet-affine",
+                "gossip:2",
+            ] {
+                let algo =
+                    build_algorithm(key, instance, 1).unwrap_or_else(|e| panic!("{key}: {e}"));
+                let report = doall_sim::Simulation::builder(instance)
+                    .procs(algo.spawn(instance))
+                    .adversary(Box::new(UnitDelay))
+                    .max_ticks(10_000)
+                    .build()
+                    .run();
+                assert!(report.completed, "{key} at {p}x{t}");
+            }
         }
         for key in [
             "unit",
@@ -1242,9 +1259,16 @@ mod tests {
 
     #[test]
     fn padet_affine_requires_prime_tasks() {
-        let composite = Instance::new(4, 8).unwrap();
-        assert!(build_algorithm("padet-affine", composite, 0).is_err());
-        let prime = Instance::new(4, 7).unwrap();
+        // The lists are over the min(p, t) jobs, so a prime t alone
+        // does not do.
+        for (p, t) in [(4, 8), (4, 7)] {
+            let instance = Instance::new(p, t).unwrap();
+            let e = build_algorithm("padet-affine", instance, 0)
+                .err()
+                .expect("a composite job count is refused");
+            assert!(e.to_string().contains("prime job count min(p, t)"), "{e}");
+        }
+        let prime = Instance::new(5, 13).unwrap();
         assert!(build_algorithm("padet-affine", prime, 0).is_ok());
     }
 

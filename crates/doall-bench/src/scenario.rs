@@ -13,7 +13,7 @@
 //! title = Proposition 2.2 (quadratic wall at d = Ω(t))
 //! setup = …printed above the table…
 //! notes = …printed below the table…
-//! trace = true                      # optional; collect execution traces
+//! trace = true                      # optional; report primary/secondary executions
 //! max_ticks = 50000000              # optional per-run tick cutoff
 //! grid = algos=… advs=… shapes=… ds=… seeds=1 seed=0
 //! smoke = algos=… advs=… shapes=… ds=… seeds=1 seed=0
@@ -64,7 +64,8 @@ pub struct Scenario {
     pub setup: String,
     /// Interpretation notes printed after the table in human mode.
     pub notes: String,
-    /// Collect execution traces (primary/secondary execution metrics).
+    /// Add the mean primary and secondary executions to every cell's
+    /// metrics ([`crate::sweep::SweepConfig::trace`]).
     pub trace: bool,
     /// Per-run tick cutoff override (`None`: the simulator's default).
     pub max_ticks: Option<u64>,

@@ -1,10 +1,12 @@
 //! Property tests for four "must not perturb results" claims:
 //!
-//! 1. **Tracing is an observer.** A run built with `TraceMode::Off`
-//!    (the monomorphized trace-free loop) and the same run built with
-//!    `TraceMode::Buffered` produce identical [`RunReport`]s, for random
-//!    algorithm × adversary × shape draws across both fan-out paths
-//!    (uniform and per-recipient).
+//! 1. **Tracing is an observer, and the counters match it.** A run built
+//!    with `TraceMode::Off` (the monomorphized trace-free loop) and the
+//!    same run built with `TraceMode::Buffered` produce identical
+//!    [`RunReport`]s, for random algorithm × adversary × shape draws
+//!    across both fan-out paths (uniform and per-recipient). The report's
+//!    primary and secondary executions equal those that
+//!    [`execution_profile`] replays from the trace.
 //! 2. **Arena recycling is invisible.** `Simulation::run_batch` (one
 //!    recycled proc vector + mailbox arena across replicates) is
 //!    byte-identical to constructing a fresh `Simulation` per replicate —
@@ -22,7 +24,8 @@
 use doall_bench::grid::{build_adversary, build_algorithm, AdversarySpec, Grid};
 use doall_bench::sweep::{run_cells, SweepConfig};
 use doall_core::{DoAllProcess, Instance, Message, ProcId, RunReport, StepOutcome};
-use doall_sim::{Adversary, Delivery, Mailboxes, SimView, Simulation, TraceMode};
+use doall_sim::analysis::execution_profile;
+use doall_sim::{Adversary, Delivery, Mailboxes, SimView, Simulation, Trace, TraceMode};
 use proptest::prelude::*;
 
 /// Algorithm keys that exercise every messaging pattern: broadcast-free,
@@ -125,19 +128,18 @@ fn run_with(
     d: u64,
     seed: u64,
     trace: TraceMode,
-) -> (RunReport, bool) {
+) -> (RunReport, Option<Trace>) {
     let instance = Instance::new(p, t).expect("valid shape");
     let algorithm = build_algorithm(algo, instance, seed).expect("valid algo key");
     let spec = AdversarySpec::parse(adv).expect("valid adversary key");
     let adversary = build_adversary(&spec, p, t, d, seed, MAX_TICKS);
-    let (report, trace_out) = Simulation::builder(instance)
+    Simulation::builder(instance)
         .procs(algorithm.spawn(instance))
         .adversary(adversary)
         .max_ticks(MAX_TICKS)
         .trace(trace)
         .build()
-        .run_traced();
-    (report, trace_out.is_some())
+        .run_traced()
 }
 
 /// The property below compares the union with per-recipient delays only
@@ -160,7 +162,7 @@ proptest! {
 
     /// Claim 1: `TraceMode::Off` and `TraceMode::Buffered` agree on every
     /// field of the report, whatever the algorithm, adversary, shape, and
-    /// seed.
+    /// seed, and the replayed trace gives the report's execution counts.
     #[test]
     fn trace_off_and_buffered_reports_identical(
         algo_idx in 0..ALGOS.len(),
@@ -173,11 +175,16 @@ proptest! {
         let algo = ALGOS[algo_idx];
         let adv = ADVS[adv_idx];
         let t = p * t_mult;
-        let (off, had_trace_off) = run_with(algo, adv, p, t, d, seed, TraceMode::Off);
-        let (buffered, had_trace_buf) =
+        let (off, no_trace) = run_with(algo, adv, p, t, d, seed, TraceMode::Off);
+        let (buffered, trace) =
             run_with(algo, adv, p, t, d, seed, TraceMode::Buffered(1 << 20));
-        prop_assert!(!had_trace_off);
-        prop_assert!(had_trace_buf);
+        prop_assert!(no_trace.is_none());
+        let profile = execution_profile(&trace.expect("tracing enabled"), t);
+        prop_assert_eq!(
+            (profile.primary_executions as u64, profile.secondary_executions as u64),
+            (buffered.primary_executions, buffered.secondary_executions),
+            "counters differ from the replay in {}/{}", algo, adv
+        );
         prop_assert_eq!(off, buffered, "tracing perturbed {}/{}", algo, adv);
     }
 

@@ -91,6 +91,14 @@ pub struct RunReport {
     pub completed: bool,
     /// Work charged to each processor individually.
     pub work_per_processor: Vec<u64>,
+    /// Section 4's *primary* executions: performances of a task that no
+    /// processor had performed before the step's time unit began, so
+    /// concurrent firsts all count. On real threads every step is its
+    /// own instant, so only the first performance of each task is
+    /// primary.
+    pub primary_executions: u64,
+    /// All other task performances: redundant work.
+    pub secondary_executions: u64,
 }
 
 impl RunReport {
@@ -160,6 +168,8 @@ mod tests {
             sigma: Some(10),
             completed: true,
             work_per_processor: vec![25, 25],
+            primary_executions: 0,
+            secondary_executions: 0,
         };
         assert!((r.work_ratio_to_quadratic(10, 10) - 0.5).abs() < 1e-12);
         assert!((r.messages_per_work() - 2.0).abs() < 1e-12);
@@ -173,6 +183,8 @@ mod tests {
             sigma: None,
             completed: false,
             work_per_processor: vec![1],
+            primary_executions: 0,
+            secondary_executions: 0,
         };
         let s = r.to_string();
         assert!(s.contains("work: 1"));
@@ -187,6 +199,8 @@ mod tests {
             sigma: None,
             completed: false,
             work_per_processor: vec![],
+            primary_executions: 0,
+            secondary_executions: 0,
         };
         assert_eq!(r.messages_per_work(), 0.0);
     }

@@ -61,7 +61,7 @@ pub(crate) fn execute(
         ground_truth: Mutex::new(BitSet::new(instance.tasks())),
         deadline: start.checked_add(config.timeout),
     };
-    let counts: Vec<(u64, u64, RuntimeStats)> = std::thread::scope(|scope| {
+    let counts: Vec<WorkerCounts> = std::thread::scope(|scope| {
         let shared = &shared;
         let workers: Vec<_> = procs
             .into_iter()
@@ -76,9 +76,11 @@ pub(crate) fn execute(
     });
 
     let mut stats = RuntimeStats::default();
-    for (_, _, worker) in &counts {
-        stats.crashed_drained += worker.crashed_drained;
-        stats.max_crashed_backlog = stats.max_crashed_backlog.max(worker.max_crashed_backlog);
+    for worker in &counts {
+        stats.crashed_drained += worker.stats.crashed_drained;
+        stats.max_crashed_backlog = stats
+            .max_crashed_backlog
+            .max(worker.stats.max_crashed_backlog);
     }
     let all_done = shared
         .ground_truth
@@ -88,24 +90,38 @@ pub(crate) fn execute(
     let completed = shared.done.load(Ordering::Acquire) && all_done;
     let sigma = completed.then(|| u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
     let report = RunReport {
-        work: counts.iter().map(|c| c.0).sum(),
-        messages: counts.iter().map(|c| c.1).sum(),
+        work: counts.iter().map(|c| c.steps).sum(),
+        messages: counts.iter().map(|c| c.sent).sum(),
         sigma,
         completed,
-        work_per_processor: counts.iter().map(|c| c.0).collect(),
+        work_per_processor: counts.iter().map(|c| c.steps).collect(),
+        primary_executions: counts.iter().map(|c| c.primary).sum(),
+        secondary_executions: counts.iter().map(|c| c.secondary).sum(),
     };
     RunOutcome { report, stats }
 }
 
+/// What one worker counted over its run.
+#[derive(Default)]
+struct WorkerCounts {
+    steps: u64,
+    sent: u64,
+    /// Performances that first inserted their task into the ground truth.
+    primary: u64,
+    secondary: u64,
+    stats: RuntimeStats,
+}
+
 impl Shared<'_> {
     /// Processor `pid`'s loop. Returns its steps, the messages it sent,
-    /// and what it drained while crashed.
+    /// its primary and secondary executions, and what it drained while
+    /// crashed.
     fn worker(
         &self,
         pid: usize,
         mut proc_: Box<dyn DoAllProcess>,
         rx: &Receiver<Envelope>,
-    ) -> (u64, u64, RuntimeStats) {
+    ) -> WorkerCounts {
         let config = self.config;
         let p = self.senders.len();
         let budget = config.crash_after_steps.get(pid).copied().flatten();
@@ -116,7 +132,7 @@ impl Shared<'_> {
             .flatten()
             .unwrap_or(config.step_interval);
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(pid as u64));
-        let (mut steps, mut sent, mut stats) = (0, 0, RuntimeStats::default());
+        let mut counts = WorkerCounts::default();
         let mut held: Vec<Envelope> = Vec::new();
         let mut inbox: Vec<Message> = Vec::new();
         loop {
@@ -124,13 +140,13 @@ impl Shared<'_> {
             if self.done.load(Ordering::Acquire) || self.deadline.is_some_and(|d| now >= d) {
                 break;
             }
-            if budget.is_some_and(|b| steps >= b) {
+            if budget.is_some_and(|b| counts.steps >= b) {
                 // Crashed: stop stepping, but drain and drop the channel
                 // each wake, since peers keep sending into it. Never
                 // reading a message is exactly the infinite-delay model.
                 let batch = rx.try_iter().count() as u64;
-                stats.crashed_drained += batch;
-                stats.max_crashed_backlog = stats.max_crashed_backlog.max(batch);
+                counts.stats.crashed_drained += batch;
+                counts.stats.max_crashed_backlog = counts.stats.max_crashed_backlog.max(batch);
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
@@ -138,13 +154,19 @@ impl Shared<'_> {
             inbox.clear();
             take_due(&mut held, now, &mut inbox);
             let outcome = proc_.step(&inbox);
-            steps += 1;
+            counts.steps += 1;
             if let Some(task) = outcome.performed {
                 (self.body)(task);
-                self.ground_truth
+                let first = self
+                    .ground_truth
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .insert(task.index());
+                if first {
+                    counts.primary += 1;
+                } else {
+                    counts.secondary += 1;
+                }
             }
             if let Some(bits) = outcome.broadcast {
                 let recipients: Vec<usize> = match outcome.targets {
@@ -153,7 +175,7 @@ impl Shared<'_> {
                 };
                 let sent_at = Instant::now();
                 for to in recipients.into_iter().filter(|&to| to != pid && to < p) {
-                    sent += 1;
+                    counts.sent += 1;
                     let delay = config.max_delay.as_secs_f64() * rng.random::<f64>();
                     // A due time past what `Instant` can represent is
                     // never reached: the message stays in flight for
@@ -178,7 +200,7 @@ impl Shared<'_> {
                 std::thread::sleep(pace);
             }
         }
-        (steps, sent, stats)
+        counts
     }
 }
 

@@ -8,8 +8,10 @@
 //! performing the same job at the same tick are all primary ("several
 //! processors may be executing the same job concurrently for the first
 //! time"); this is exactly why `Cont(Σ)` can exceed `n`. Lemma 4.2 bounds
-//! the primary executions of ObliDo by `Cont(Σ)`; the experiment harness
-//! verifies that bound with [`execution_profile`].
+//! the primary executions of ObliDo by `Cont(Σ)`. The simulator counts
+//! them in every [`RunReport`], which the experiment harness checks
+//! against that bound; [`execution_profile`] recomputes them from a trace,
+//! the reference the counters are tested against.
 
 use crate::{Trace, TraceEvent};
 use doall_core::RunReport;
@@ -87,9 +89,9 @@ pub fn summarize(reports: &[RunReport]) -> BatchSummary {
     }
 }
 
-/// A mergeable partial aggregate of execution profiles — the building
-/// block that lets the sweep harness shard a cell's replicates across
-/// workers and still produce the exact totals a sequential pass would.
+/// A mergeable partial aggregate of execution profiles: it lets a caller
+/// that replays traces shard a cell's replicates across workers and
+/// still produce the exact totals a sequential pass would.
 ///
 /// Each worker folds the [`ExecutionProfile`]s of its replicate chunk
 /// into one of these via [`ProfilePartial::record`]; the chunks are then
@@ -310,6 +312,8 @@ mod tests {
             sigma: completed.then_some(work),
             completed,
             work_per_processor: vec![work],
+            primary_executions: 0,
+            secondary_executions: 0,
         }
     }
 

@@ -163,11 +163,15 @@ impl SimulationBuilder {
 }
 
 /// The recycled per-run scratch state: the mailboxes, the ground-truth
-/// task set, the work tally, and the inbox buffer. A batch resets one
-/// arena per replicate instead of reallocating any of it.
+/// task set, each task's first-performed tick, the work tally, and the
+/// inbox buffer. A batch resets one arena per replicate instead of
+/// reallocating any of it.
 struct SimArena {
     mailboxes: Mailboxes,
     tasks_done: BitSet,
+    /// The tick at which each task was first performed (`u64::MAX`:
+    /// not yet), which tells primary executions from secondary ones.
+    first_performed: Vec<u64>,
     work: WorkTally,
     inbox: Vec<Message>,
 }
@@ -177,6 +181,7 @@ impl SimArena {
         Self {
             mailboxes: Mailboxes::new(0),
             tasks_done: BitSet::new(0),
+            first_performed: Vec::new(),
             work: WorkTally::new(0),
             inbox: Vec::new(),
         }
@@ -189,6 +194,8 @@ impl SimArena {
         } else {
             self.tasks_done = BitSet::new(tasks);
         }
+        self.first_performed.clear();
+        self.first_performed.resize(tasks, u64::MAX);
         self.work.reset(processors);
         self.inbox.clear();
     }
@@ -333,6 +340,7 @@ fn execute<R: Recorder>(
     arena.reset(p, t);
     let delivery = adversary.delivery();
     let mut msgs = MessageTally::new();
+    let (mut primary, mut secondary) = (0u64, 0u64);
     let mut sigma: Option<u64> = None;
     let mut now: u64 = 0;
 
@@ -364,6 +372,14 @@ fn execute<R: Recorder>(
 
             if let Some(task) = outcome.performed {
                 arena.tasks_done.insert(task.index());
+                // Primary iff nobody performed the task before this tick.
+                let first = &mut arena.first_performed[task.index()];
+                if *first >= now {
+                    *first = now;
+                    primary += 1;
+                } else {
+                    secondary += 1;
+                }
             }
             if R::ENABLED {
                 rec.record(TraceEvent::Step {
@@ -497,6 +513,8 @@ fn execute<R: Recorder>(
         sigma,
         completed: arena.tasks_done.is_full() && sigma.is_some(),
         work_per_processor: arena.work.per_processor().to_vec(),
+        primary_executions: primary,
+        secondary_executions: secondary,
     }
 }
 

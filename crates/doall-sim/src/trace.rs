@@ -52,8 +52,8 @@ pub enum TraceMode {
     /// Record into an existing collector, reusing its allocation (and
     /// keeping its capacity). The collector is cleared first, so callers
     /// hand the trace returned by a previous `run_traced` straight back
-    /// in — batch sweeps recycle one buffer per worker instead of growing
-    /// a fresh multi-million-entry buffer per replicate.
+    /// in: a caller tracing many replicates recycles one buffer instead
+    /// of growing a fresh one per replicate.
     Recycled(Trace),
 }
 
@@ -92,9 +92,12 @@ impl Recorder for Trace {
 
 /// A bounded in-memory trace collector.
 ///
-/// Traces are for debugging and the examples; complexity measurements never
-/// depend on them. The collector drops events beyond `capacity` (keeping
-/// the earliest), recording how many were dropped.
+/// Traces are for debugging, the examples, and replay checks; complexity
+/// measurements never depend on them, since every
+/// [`RunReport`](doall_core::RunReport) counts its work, messages, and
+/// primary and secondary executions itself. The collector drops events
+/// beyond `capacity` (keeping the earliest), recording how many were
+/// dropped.
 #[derive(Debug, Clone)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -123,9 +126,7 @@ impl Trace {
     }
 
     /// Empties the collector for reuse, keeping the event allocation and
-    /// the capacity. Long trace-mode sweeps hand one collector from run
-    /// to run (see [`TraceMode::Recycled`]) instead of growing a fresh
-    /// multi-million-entry buffer per replicate.
+    /// the capacity (see [`TraceMode::Recycled`]).
     pub fn clear(&mut self) {
         self.events.clear();
         self.dropped = 0;

@@ -14,7 +14,7 @@ use doall::algorithms::{Algorithm, Da};
 use doall::perms::d_contention_exact;
 use doall::prelude::*;
 use doall::sim::analysis::execution_profile;
-use doall::sim::{Simulation, TraceEvent};
+use doall::sim::{Simulation, TraceEvent, TraceMode};
 
 fn main() -> Result<(), doall::CoreError> {
     let q = 3;

@@ -106,7 +106,7 @@ pub mod prelude {
         BurstyDelay, CrashSchedule, FixedDelay, LowerBoundAdversary, RandomDelay, RandomSubset,
         RandomizedLbAdversary, RoundRobin, StageAligned, Stragglers, UnitDelay,
     };
-    pub use crate::sim::{Adversary, Simulation, TraceMode};
+    pub use crate::sim::{Adversary, Simulation};
     pub use crate::{Instance, RunReport};
 }
 

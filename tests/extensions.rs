@@ -6,7 +6,7 @@ use doall::perms::structured::{affine_schedules, next_prime, rotation_schedules}
 use doall::perms::Schedules;
 use doall::prelude::*;
 use doall::sim::analysis::execution_profile;
-use doall::sim::Simulation;
+use doall::sim::{Simulation, TraceMode};
 
 #[test]
 fn gossip_completes_under_all_adversaries() {
