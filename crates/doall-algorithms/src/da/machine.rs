@@ -21,9 +21,10 @@
 
 use super::tree::TreeShape;
 use doall_core::{
-    BitSet, DoAllProcess, Instance, JobCursor, JobId, JobMap, Message, ProcId, StepOutcome,
+    BitSet, DoAllProcess, Instance, JobId, JobMap, Message, ProcId, StepOutcome, TaskId,
 };
 use doall_perms::Schedules;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration shared (immutably) by all DA processors of one run.
@@ -69,8 +70,9 @@ pub struct DaProcess {
     /// the schedule at depth `m`.
     digits: Vec<usize>,
     stack: Vec<Frame>,
-    /// Cursor over the constituent tasks of the leaf job in progress.
-    cursor: Option<JobCursor>,
+    /// The tasks of the leaf job in progress not yet performed (empty
+    /// between jobs).
+    job: Range<usize>,
 }
 
 impl DaProcess {
@@ -94,15 +96,8 @@ impl DaProcess {
                 depth: 0,
                 child_pos: 0,
             }],
-            cursor: None,
+            job: 0..0,
         }
-    }
-
-    /// This processor's replica (used by tests and the examples to inspect
-    /// knowledge).
-    #[must_use]
-    pub fn tree_bits(&self) -> &BitSet {
-        &self.tree
     }
 
     /// Marks `node`, pops the current frame, and produces the multicast of
@@ -111,6 +106,22 @@ impl DaProcess {
         self.tree.insert(node);
         self.stack.pop();
         self.tree.clone()
+    }
+
+    /// The outcome of performing `task` of the leaf job in progress: its
+    /// last task also marks the leaf and multicasts the replica.
+    fn performed(&mut self, task: usize) -> StepOutcome {
+        let task = TaskId::new(task);
+        if !self.job.is_empty() {
+            return StepOutcome::perform(task);
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a job in progress implies a leaf frame on the stack"
+        )]
+        let leaf = self.stack.last().expect("leaf frame present").node;
+        let bits = self.retire(leaf);
+        StepOutcome::perform_and_broadcast(task, bits)
     }
 }
 
@@ -128,25 +139,8 @@ impl DoAllProcess for DaProcess {
         // A job in progress continues regardless of merges: the job is the
         // atomic scheduling unit (its remaining cost is ≤ ⌈t/p⌉ steps,
         // absorbed in the analysis constants).
-        if let Some(cursor) = self.cursor.as_mut() {
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: `self.cursor` is set to None the step it exhausts"
-            )]
-            let task = cursor
-                .next_task()
-                .expect("cursor is cleared when exhausted");
-            if cursor.is_finished() {
-                self.cursor = None;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "invariant: a live cursor implies a leaf frame on the stack"
-                )]
-                let leaf = self.stack.last().expect("leaf frame present").node;
-                let bits = self.retire(leaf);
-                return StepOutcome::perform_and_broadcast(task, bits);
-            }
-            return StepOutcome::perform(task);
+        if let Some(task) = self.job.next() {
+            return self.performed(task);
         }
 
         let Some(frame) = self.stack.last_mut() else {
@@ -172,19 +166,13 @@ impl DoAllProcess for DaProcess {
             let job = shape
                 .job_of_leaf(node)
                 .expect("unmarked leaves correspond to real jobs");
-            let mut cursor = self.shared.job_map.cursor(JobId::new(job));
+            self.job = self.shared.job_map.tasks_of(JobId::new(job));
             #[expect(
                 clippy::expect_used,
                 reason = "invariant: JobMap never creates empty jobs"
             )]
-            let task = cursor.next_task().expect("jobs are nonempty");
-            if cursor.is_finished() {
-                // Single-task job: perform + mark + multicast in one step.
-                let bits = self.retire(node);
-                return StepOutcome::perform_and_broadcast(task, bits);
-            }
-            self.cursor = Some(cursor);
-            return StepOutcome::perform(task);
+            let task = self.job.next().expect("jobs are nonempty");
+            return self.performed(task);
         }
 
         // Interior node: scan remaining children in schedule order; the

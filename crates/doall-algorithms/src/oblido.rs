@@ -16,8 +16,9 @@
 //! a group of processors following the same sequence of activities".
 
 use crate::Algorithm;
-use doall_core::{DoAllProcess, Instance, JobCursor, JobMap, Message, ProcId, StepOutcome};
+use doall_core::{DoAllProcess, Instance, JobId, JobMap, Message, ProcId, StepOutcome, TaskId};
 use doall_perms::Schedules;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Factory for ObliDo parameterized by a schedule list `Σ`.
@@ -61,7 +62,7 @@ impl Algorithm for ObliDo {
                     schedule_index: i % self.schedules.len(),
                     job_map,
                     position: 0,
-                    cursor: None,
+                    job: 0..0,
                 }) as Box<dyn DoAllProcess>
             })
             .collect()
@@ -77,8 +78,9 @@ pub struct ObliDoProcess {
     job_map: JobMap,
     /// Next position in the schedule.
     position: usize,
-    /// Cursor over the constituent tasks of the job in progress.
-    cursor: Option<JobCursor>,
+    /// The tasks of the job in progress not yet performed (empty between
+    /// jobs).
+    job: Range<usize>,
 }
 
 impl DoAllProcess for ObliDoProcess {
@@ -88,29 +90,19 @@ impl DoAllProcess for ObliDoProcess {
 
     fn step(&mut self, _inbox: &[Message]) -> StepOutcome {
         // Obliviousness: the inbox is ignored (nothing is ever sent).
-        let n = self.job_map.job_count();
-        loop {
-            if let Some(cursor) = self.cursor.as_mut() {
-                if let Some(task) = cursor.next_task() {
-                    if cursor.is_finished() {
-                        self.cursor = None;
-                    }
-                    return StepOutcome::perform(task);
-                }
-                self.cursor = None;
-            }
-            if self.position >= n {
-                return StepOutcome::internal();
-            }
-            let schedule = self.schedules.get(self.schedule_index);
-            let job = schedule.apply(self.position);
+        if self.job.is_empty() && self.position < self.job_map.job_count() {
+            let job = self.schedules.get(self.schedule_index).apply(self.position);
             self.position += 1;
-            self.cursor = Some(self.job_map.cursor(doall_core::JobId::new(job)));
+            self.job = self.job_map.tasks_of(JobId::new(job));
+        }
+        match self.job.next() {
+            Some(task) => StepOutcome::perform(TaskId::new(task)),
+            None => StepOutcome::internal(),
         }
     }
 
     fn knows_all_done(&self) -> bool {
-        self.position >= self.job_map.job_count() && self.cursor.is_none()
+        self.position >= self.job_map.job_count() && self.job.is_empty()
     }
 
     fn clone_box(&self) -> Box<dyn DoAllProcess> {

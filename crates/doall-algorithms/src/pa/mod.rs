@@ -24,11 +24,12 @@
 
 use crate::Algorithm;
 use doall_core::{
-    DoAllProcess, DoneSet, Instance, JobCursor, JobId, JobMap, Message, ProcId, StepOutcome,
+    BitSet, DoAllProcess, Instance, JobId, JobMap, Message, ProcId, StepOutcome, TaskId,
 };
 use doall_perms::{Permutation, Schedules};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Mixes a run seed with a pid into a per-processor RNG seed.
@@ -93,10 +94,12 @@ pub struct PaProcess {
     pid: ProcId,
     job_map: JobMap,
     /// Knowledge: jobs known complete (self-performed or learned).
-    done: DoneSet,
+    done: BitSet,
     selector: Selector,
-    /// Job in progress and its task cursor.
-    current: Option<(JobId, JobCursor)>,
+    /// The job in progress (the last one selected).
+    job: JobId,
+    /// The tasks of `job` not yet performed (empty between jobs).
+    tasks: Range<usize>,
     /// `Some` = gossip to a random subset instead of broadcasting.
     gossip: Option<Gossip>,
 }
@@ -106,10 +109,11 @@ impl PaProcess {
         let job_map = instance.job_map();
         Self {
             pid: ProcId::new(pid),
-            done: DoneSet::new(job_map.job_count()),
+            done: BitSet::new(job_map.job_count()),
             job_map,
             selector,
-            current: None,
+            job: JobId::new(0),
+            tasks: 0..0,
             gossip: None,
         }
     }
@@ -123,12 +127,6 @@ impl PaProcess {
         self
     }
 
-    /// This processor's knowledge of complete jobs.
-    #[must_use]
-    pub fn knowledge(&self) -> &DoneSet {
-        &self.done
-    }
-
     /// Selects the next job not known complete, or `None` if the local
     /// list is exhausted.
     fn select(&mut self) -> Option<JobId> {
@@ -138,19 +136,19 @@ impl PaProcess {
                 while *position < n {
                     let job = order.apply(*position);
                     *position += 1;
-                    if !self.done.contains(doall_core::TaskId::new(job)) {
+                    if !self.done.contains(job) {
                         return Some(JobId::new(job));
                     }
                 }
                 None
             }
             Selector::Uniform { rng } => {
-                let remaining = self.job_map.job_count() - self.done.known_done();
+                let remaining = self.job_map.job_count() - self.done.count();
                 if remaining == 0 {
                     return None;
                 }
                 let k = rng.random_range(0..remaining);
-                self.done.unknown().nth(k).map(|t| JobId::new(t.index()))
+                self.done.iter_zeros().nth(k).map(JobId::new)
             }
         }
     }
@@ -165,49 +163,43 @@ impl DoAllProcess for PaProcess {
         // Merge received knowledge (free within the step) straight from
         // the shared payloads — no copies.
         for msg in inbox {
-            self.done.merge_bits(msg.bits());
+            self.done.union_with(msg.bits());
         }
 
         // A job in progress is the atomic scheduling unit: finish it even
         // if we meanwhile learn it is done elsewhere (the analysis charges
         // its full O(t/p) cost to the selection).
-        if self.current.is_none() {
+        if self.tasks.is_empty() {
             let Some(job) = self.select() else {
                 return StepOutcome::internal();
             };
-            self.current = Some((job, self.job_map.cursor(job)));
+            self.job = job;
+            self.tasks = self.job_map.tasks_of(job);
         }
 
         #[expect(
             clippy::expect_used,
-            reason = "invariant: `self.current` was filled two lines up"
+            reason = "invariant: JobMap never creates empty jobs"
         )]
-        let (job, cursor) = self.current.as_mut().expect("set above");
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: `self.current` is set to None the step it exhausts"
-        )]
-        let task = cursor.next_task().expect("cursor cleared when exhausted");
-        if cursor.is_finished() {
-            let job = *job;
-            self.current = None;
-            self.done.record(doall_core::TaskId::new(job.index()));
-            // Share the updated knowledge (Fig. 4: perform, then
-            // broadcast(done)); one send per completed job — to everyone,
-            // or to a random gossip subset when throttled.
-            let bits = self.done.as_bits().clone();
-            let me = self.pid;
-            if let Some(g) = self.gossip.as_mut() {
-                let targets = g.targets(me);
-                return StepOutcome::perform_and_multicast(task, bits, targets);
-            }
-            return StepOutcome::perform_and_broadcast(task, bits);
+        let task = TaskId::new(self.tasks.next().expect("jobs are nonempty"));
+        if !self.tasks.is_empty() {
+            return StepOutcome::perform(task);
         }
-        StepOutcome::perform(task)
+        self.done.insert(self.job.index());
+        // Share the updated knowledge (Fig. 4: perform, then
+        // broadcast(done)); one send per completed job — to everyone, or
+        // to a random gossip subset when throttled.
+        let bits = self.done.clone();
+        let me = self.pid;
+        if let Some(g) = self.gossip.as_mut() {
+            let targets = g.targets(me);
+            return StepOutcome::perform_and_multicast(task, bits, targets);
+        }
+        StepOutcome::perform_and_broadcast(task, bits)
     }
 
     fn knows_all_done(&self) -> bool {
-        self.done.all_done() && self.current.is_none()
+        self.done.is_full() && self.tasks.is_empty()
     }
 
     fn clone_box(&self) -> Box<dyn DoAllProcess> {
@@ -521,18 +513,18 @@ mod tests {
 
     #[test]
     fn mid_job_completion_is_atomic() {
-        // 1 processor, 2 jobs of 3 tasks; learning mid-job must not abort
-        // the cursor.
+        // 2 processors, 2 jobs of 3 tasks; learning mid-job must not abort
+        // the job in progress.
         let inst = Instance::new(2, 6).unwrap();
         let mut procs = PaDet::random_for(inst, 0).spawn(inst);
         let proc_ = &mut procs[0];
         // Step once (first task of first job).
         let first = proc_.step(&[]).performed.unwrap();
-        // Tell it everything is done.
-        let mut all = DoneSet::new(2);
-        all.record(doall_core::TaskId::new(0));
-        all.record(doall_core::TaskId::new(1));
-        let msg = Message::new(ProcId::new(1), all.as_bits().clone());
+        // Tell it both jobs are done.
+        let mut all = BitSet::new(2);
+        all.insert(0);
+        all.insert(1);
+        let msg = Message::new(ProcId::new(1), all);
         // The in-progress job finishes (2 more tasks of the same job).
         let second = proc_.step(std::slice::from_ref(&msg)).performed.unwrap();
         let third = proc_.step(&[]).performed.unwrap();

@@ -1,8 +1,8 @@
 //! End-to-end: every algorithm completes against every adversary, with
 //! sane work accounting.
 
-use doall_algorithms::{Algorithm, Da, PaDet, PaRan1, PaRan2, SoloAll};
-use doall_core::Instance;
+use doall_algorithms::{Algorithm, Da, PaDet, PaGossip, PaRan1, PaRan2, SoloAll};
+use doall_core::{DoAllProcess, Instance, Message, ProcId, StepOutcome};
 use doall_sim::adversary::{
     CrashSchedule, FixedDelay, LowerBoundAdversary, RandomDelay, RandomSubset,
     RandomizedLbAdversary, RoundRobin, StageAligned, UnitDelay,
@@ -55,6 +55,60 @@ fn completion_matrix() {
                 assert!(report.sigma.is_some(), "{name}: no σ");
             }
         }
+    }
+}
+
+#[test]
+fn pa_payloads_are_job_bitmaps() {
+    /// Checks every payload its processor sends against the job count.
+    struct JobBits {
+        inner: Box<dyn DoAllProcess>,
+        jobs: usize,
+    }
+    impl DoAllProcess for JobBits {
+        fn pid(&self) -> ProcId {
+            self.inner.pid()
+        }
+        fn step(&mut self, inbox: &[Message]) -> StepOutcome {
+            let outcome = self.inner.step(inbox);
+            if let Some(bits) = &outcome.broadcast {
+                assert_eq!(bits.len(), self.jobs, "a PA payload holds one bit per job");
+            }
+            outcome
+        }
+        fn knows_all_done(&self) -> bool {
+            self.inner.knows_all_done()
+        }
+        fn clone_box(&self) -> Box<dyn DoAllProcess> {
+            Box::new(JobBits {
+                inner: self.inner.clone_box(),
+                jobs: self.jobs,
+            })
+        }
+    }
+    // t > p: ten tasks in four jobs of two or three tasks.
+    let instance = Instance::new(4, 10).unwrap();
+    let jobs = instance.units();
+    assert_eq!(jobs, 4);
+    let variants: Vec<Box<dyn Algorithm>> = vec![
+        Box::new(PaRan1::new(1)),
+        Box::new(PaRan2::new(1)),
+        Box::new(PaDet::random_for(instance, 1)),
+        Box::new(PaGossip::new(1, 2)),
+    ];
+    for algo in variants {
+        let procs = algo
+            .spawn(instance)
+            .into_iter()
+            .map(|inner| Box::new(JobBits { inner, jobs }) as Box<dyn DoAllProcess>)
+            .collect();
+        let report = Simulation::builder(instance)
+            .procs(procs)
+            .adversary(Box::new(FixedDelay::new(2)))
+            .build()
+            .run();
+        assert!(report.completed, "{}: {report}", algo.name());
+        assert!(report.messages > 0, "{}: sent no payload", algo.name());
     }
 }
 

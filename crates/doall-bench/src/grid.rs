@@ -674,24 +674,32 @@ impl fmt::Display for Grid {
 
 /// Validates an algorithm key without building it (no instance needed).
 ///
+/// The key is a cell's identity, so a numeric parameter must be spelled
+/// as its decimal rendering: `da:03` and `da:+3` are refused (write
+/// `da:3`), where the adversary keys canonicalize.
+///
 /// # Errors
 ///
 /// Returns a [`GridError`] for an unknown key or bad parameter.
 pub fn validate_algo_key(key: &str) -> Result<(), GridError> {
-    if let Some(q) = key.strip_prefix("da:") {
-        let q: usize = q
+    fn param(head: &str, what: &str, raw: &str) -> Result<usize, GridError> {
+        let n: usize = raw
             .parse()
-            .map_err(|_| err(format!("da:<q>: `{q}` is not a number")))?;
+            .map_err(|_| err(format!("{head}<{what}>: `{raw}` is not a number")))?;
+        if n.to_string() != raw {
+            return Err(err(format!("write `{head}{n}`, not `{head}{raw}`")));
+        }
+        Ok(n)
+    }
+    if let Some(q) = key.strip_prefix("da:") {
+        let q = param("da:", "q", q)?;
         if !(2..=8).contains(&q) {
             return Err(err("da:<q> supports 2 ≤ q ≤ 8 (certified schedule search)"));
         }
         return Ok(());
     }
     if let Some(fanout) = key.strip_prefix("gossip:") {
-        let fanout: usize = fanout
-            .parse()
-            .map_err(|_| err(format!("gossip:<fanout>: `{fanout}` is not a number")))?;
-        if fanout == 0 {
+        if param("gossip:", "fanout", fanout)? == 0 {
             return Err(err("gossip fanout must be at least 1"));
         }
         return Ok(());
@@ -1129,6 +1137,9 @@ mod tests {
             "algos=paran1 advs=frobnicate shapes=4x8",          // unknown adversary
             "algos=da:99 shapes=4x8",                           // q out of range
             "algos=gossip:0 shapes=4x8",                        // zero fanout
+            "algos=da:03 shapes=4x8",                           // two spellings of da:3
+            "algos=da:+3 shapes=4x8",                           // two spellings of da:3
+            "algos=gossip:02 shapes=4x8",                       // two spellings of gossip:2
             "algos=paran1 advs=crash:101 shapes=4x8",           // pct > 100
             "algos=paran1,paran1 shapes=4x8",                   // duplicate algo
             "algos=paran1 advs=unit,unit shapes=4x8",           // duplicate adversary

@@ -58,14 +58,6 @@ pub fn lower_bound_work(p: usize, t: usize, d: u64) -> f64 {
     tf + pf * df.min(tf) * (df + tf).ln() / (df + 1.0).ln().max(f64::MIN_POSITIVE)
 }
 
-/// Note that `log_{d+1}(d + t)` degenerates for `d = 1` to `log₂(1 + t)`;
-/// this helper exposes the logarithm itself for tables.
-#[must_use]
-pub fn log_base_d_plus_1(t: usize, d: u64) -> f64 {
-    assert!(t >= 1 && d >= 1, "parameters must be positive");
-    ((d as f64) + (t as f64)).ln() / ((d as f64) + 1.0).ln()
-}
-
 /// The DA(q) upper bound of Theorem 5.5:
 /// `t·p^ε + p·min{t, d}·⌈t/d⌉^ε` for the `ε` achieved by branching
 /// factor `q` with schedule contention `cont` (Theorem 5.4 machinery:
@@ -119,13 +111,6 @@ pub fn oblivious_work(p: usize, t: usize) -> f64 {
     p as f64 * t as f64
 }
 
-/// The DA message bound of Theorem 5.6, given measured work: `p · W`.
-#[must_use]
-pub fn da_message_bound(p: usize, work: u64) -> f64 {
-    assert!(p >= 1, "need at least one processor");
-    p as f64 * work as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,14 +130,6 @@ mod tests {
     #[test]
     fn lower_bound_at_least_t() {
         assert!(lower_bound_work(1, 500, 1) >= 500.0);
-    }
-
-    #[test]
-    fn log_base_behaves() {
-        // log₂(1 + t) at d = 1.
-        assert!((log_base_d_plus_1(7, 1) - 3.0).abs() < 1e-12);
-        // Large d: log tends to 1 when d dominates t.
-        assert!((log_base_d_plus_1(10, 1_000_000) - 1.0).abs() < 0.01);
     }
 
     #[test]
@@ -184,11 +161,6 @@ mod tests {
         assert!(pa_upper_bound(p, t, 64) > b1);
         // Message bound is exactly p×.
         assert!((pa_message_bound(p, t, 7) - 64.0 * pa_upper_bound(p, t, 7)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn da_message_bound_is_p_times_work() {
-        assert!((da_message_bound(7, 100) - 700.0).abs() < 1e-12);
     }
 
     #[test]

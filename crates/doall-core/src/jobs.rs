@@ -57,7 +57,10 @@ impl JobMap {
     ///
     /// Jobs are contiguous: job `j` covers tasks
     /// `[j·⌊t/n⌋ + min(j, t mod n), …)`, with the first `t mod n` jobs one
-    /// task larger.
+    /// task larger. An algorithm performing a job takes the range's tasks
+    /// one per local step, so a job of `k` tasks costs `k` work units, as
+    /// the "a single job takes `O(t/p)` units of work" accounting of
+    /// Theorem 5.5 requires.
     ///
     /// # Panics
     ///
@@ -91,45 +94,6 @@ impl JobMap {
             extra + (i - wide) / base
         };
         JobId::new(j)
-    }
-
-    /// A cursor that steps through the constituent tasks of `job`, one task
-    /// per local step.
-    #[must_use]
-    pub fn cursor(&self, job: JobId) -> JobCursor {
-        JobCursor {
-            range: self.tasks_of(job),
-        }
-    }
-}
-
-/// Step-wise iterator over the tasks of a job.
-///
-/// Each call to [`JobCursor::next_task`] yields one constituent task; an
-/// algorithm performing a job executes one such task per local step, so a
-/// job of `k` tasks costs `k` work units, as required by the "a single job
-/// takes `O(t/p)` units of work" accounting of Theorem 5.5.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobCursor {
-    range: Range<usize>,
-}
-
-impl JobCursor {
-    /// The next constituent task, or `None` when the job is finished.
-    pub fn next_task(&mut self) -> Option<TaskId> {
-        self.range.next().map(TaskId::new)
-    }
-
-    /// Number of tasks remaining in the job.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.range.len()
-    }
-
-    /// Whether the job has been fully executed.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.range.is_empty()
     }
 }
 
@@ -195,20 +159,6 @@ mod tests {
             next = r.end;
         }
         assert_eq!(next, 23);
-    }
-
-    #[test]
-    fn cursor_walks_all_tasks() {
-        let jm = JobMap::new(10, 3);
-        let mut c = jm.cursor(JobId::new(0));
-        assert_eq!(c.remaining(), 4);
-        let mut seen = Vec::new();
-        while let Some(t) = c.next_task() {
-            seen.push(t.index());
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-        assert!(c.is_finished());
-        assert_eq!(c.next_task(), None);
     }
 
     #[test]

@@ -15,17 +15,19 @@
 //! * [`ProcId`], [`TaskId`], [`JobId`] — strongly-typed identifiers;
 //! * [`BitSet`] — the monotone bitset that is the only thing processors ever
 //!   communicate (progress information only grows, so replicas merge by OR
-//!   and no consistency issues arise — Section 5.1.2 of the paper);
-//! * [`DoneSet`] — task-indexed knowledge of completed tasks;
+//!   and no consistency issues arise — Section 5.1.2 of the paper); a PA
+//!   processor's knowledge is one over jobs, a DA replica one over tree
+//!   nodes;
 //! * [`JobMap`] — the clustering of `t` tasks into at most `p` jobs used when
-//!   `t > p` (Sections 5.1.3 and 6 of the paper);
+//!   `t > p` (Sections 5.1.3 and 6 of the paper); a job is the range of
+//!   its tasks ([`JobMap::tasks_of`]);
 //! * [`Message`] — the envelope carried by the network;
 //! * [`DoAllProcess`] — the object-safe state-machine trait every algorithm
 //!   implements: one call to [`DoAllProcess::step`] is one *local step* and
 //!   is charged one unit of work (Definition 2.1);
 //! * [`StepOutcome`] — what a step did (task performed / broadcast
 //!   submitted);
-//! * [`RunReport`] and the tallies implementing Definitions 2.1/2.2.
+//! * [`RunReport`] — the work and message counts of Definitions 2.1/2.2.
 //!
 //! # Work accounting contract
 //!
@@ -59,7 +61,6 @@ mod bitset;
 mod error;
 mod ids;
 mod jobs;
-mod knowledge;
 mod message;
 mod process;
 mod report;
@@ -67,11 +68,10 @@ mod report;
 pub use bitset::BitSet;
 pub use error::CoreError;
 pub use ids::{JobId, ProcId, TaskId};
-pub use jobs::{JobCursor, JobMap};
-pub use knowledge::DoneSet;
+pub use jobs::JobMap;
 pub use message::Message;
 pub use process::{DoAllProcess, StepOutcome};
-pub use report::{MessageTally, RunReport, WorkTally};
+pub use report::RunReport;
 
 /// Instance parameters of a Do-All run: `p` processors, `t` tasks.
 ///

@@ -2,9 +2,9 @@
 //!
 //! Every algorithm in the paper communicates exactly one kind of payload: a
 //! monotone bitmap of progress information. For the PA family the bits index
-//! tasks (a [`crate::DoneSet`]); for DA they index the nodes of the
-//! replicated q-ary progress tree. Receivers merge payloads into local state
-//! by bitwise OR.
+//! jobs (the sender's knowledge of complete jobs); for DA they index the
+//! nodes of the replicated q-ary progress tree. Receivers merge payloads
+//! into local state by bitwise OR.
 //!
 //! # Shared-payload ownership rule
 //!
@@ -76,14 +76,6 @@ impl Message {
     pub fn shared_bits(&self) -> &Arc<BitSet> {
         &self.bits
     }
-
-    /// Consumes the message, yielding its payload. Unwraps the shared
-    /// allocation when this envelope was its last holder; clones the
-    /// bitmap otherwise.
-    #[must_use]
-    pub fn into_bits(self) -> BitSet {
-        Arc::try_unwrap(self.bits).unwrap_or_else(|shared| (*shared).clone())
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +89,6 @@ mod tests {
         let m = Message::new(ProcId::new(2), b.clone());
         assert_eq!(m.from(), ProcId::new(2));
         assert_eq!(m.bits(), &b);
-        assert_eq!(m.into_bits(), b);
     }
 
     #[test]
@@ -106,19 +97,10 @@ mod tests {
         b.insert(3);
         let payload: Arc<BitSet> = Arc::new(b);
         let copies: Vec<Message> = (1..4)
-            .map(|to| {
-                let _ = to;
-                Message::new(ProcId::new(0), Arc::clone(&payload))
-            })
+            .map(|_| Message::new(ProcId::new(0), Arc::clone(&payload)))
             .collect();
         for m in &copies {
             assert!(Arc::ptr_eq(m.shared_bits(), &payload), "no deep copy");
         }
-        // `into_bits` on a still-shared payload clones; on the last
-        // holder it unwraps in place.
-        drop(copies);
-        let only = Message::new(ProcId::new(0), payload);
-        let back = only.into_bits();
-        assert!(back.contains(3));
     }
 }

@@ -1,86 +1,16 @@
-//! Work and message accounting (Definitions 2.1 and 2.2) and run reports.
+//! Run reports: work and message counts (Definitions 2.1 and 2.2).
 
 use core::fmt;
-
-/// Work tally per Definition 2.1: every completed local step of every
-/// processor is one unit, summed from time 0 until σ (the first time all
-/// tasks are performed *and* some processor knows it).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkTally {
-    per_proc: Vec<u64>,
-}
-
-impl WorkTally {
-    /// Creates a tally over `p` processors.
-    #[must_use]
-    pub fn new(processors: usize) -> Self {
-        Self {
-            per_proc: vec![0; processors],
-        }
-    }
-
-    /// Charges one unit to processor `pid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range.
-    pub fn charge(&mut self, pid: usize) {
-        self.per_proc[pid] += 1;
-    }
-
-    /// Total work `W` across all processors.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.per_proc.iter().sum()
-    }
-
-    /// Work charged to each processor.
-    #[must_use]
-    pub fn per_processor(&self) -> &[u64] {
-        &self.per_proc
-    }
-
-    /// Zeroes the tally for `processors` processors, reusing the
-    /// allocation when the count allows — the arena-reset primitive for
-    /// batched simulation runs.
-    pub fn reset(&mut self, processors: usize) {
-        self.per_proc.clear();
-        self.per_proc.resize(processors, 0);
-    }
-}
-
-/// Message tally per Definition 2.2: each point-to-point message is one
-/// unit; a broadcast to `m` destinations counts `m`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MessageTally {
-    sent: u64,
-}
-
-impl MessageTally {
-    /// Creates an empty tally.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `n` point-to-point messages.
-    pub fn charge(&mut self, n: u64) {
-        self.sent += n;
-    }
-
-    /// Total message complexity `M`.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.sent
-    }
-}
 
 /// The result of one execution of a Do-All algorithm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
-    /// Total work `W` (Definition 2.1), counted until σ.
+    /// Total work `W` (Definition 2.1): one unit per completed local
+    /// step of every processor, from time 0 until σ.
     pub work: u64,
-    /// Total message complexity `M` (Definition 2.2), counted until σ.
+    /// Total message complexity `M` (Definition 2.2): one unit per
+    /// point-to-point message, so a broadcast to `m` destinations counts
+    /// `m`, until σ.
     pub messages: u64,
     /// The completion time σ (global time at which all tasks were performed
     /// and at least one processor knew it), or `None` if the run was cut off
@@ -140,25 +70,6 @@ impl fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn work_tally_sums_per_processor() {
-        let mut w = WorkTally::new(3);
-        w.charge(0);
-        w.charge(0);
-        w.charge(2);
-        assert_eq!(w.total(), 3);
-        assert_eq!(w.per_processor(), &[2, 0, 1]);
-    }
-
-    #[test]
-    fn message_tally_accumulates() {
-        let mut m = MessageTally::new();
-        m.charge(4);
-        m.charge(0);
-        m.charge(1);
-        assert_eq!(m.total(), 5);
-    }
 
     #[test]
     fn report_ratios() {

@@ -1,6 +1,6 @@
 //! Property-based tests for the core data structures.
 
-use doall_core::{BitSet, DoneSet, Instance, JobId, JobMap, TaskId};
+use doall_core::{BitSet, Instance, JobId, JobMap, TaskId};
 use proptest::prelude::*;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -119,23 +119,23 @@ proptest! {
         prop_assert_eq!(max_size, jm.max_job_size());
     }
 
-    /// DoneSet merge only ever grows knowledge and all_done is exactly
-    /// "known_done == task_count".
+    /// A done set (a PA processor's knowledge, a `BitSet` over jobs) only
+    /// grows under merge, and is full exactly when it holds every job.
     #[test]
     fn done_set_monotone(
         t in 1usize..200,
         xs in prop::collection::vec(0usize..200, 0..50),
         ys in prop::collection::vec(0usize..200, 0..50),
     ) {
-        let mut a = DoneSet::new(t);
-        for &x in &xs { if x < t { a.record(TaskId::new(x)); } }
-        let mut b = DoneSet::new(t);
-        for &y in &ys { if y < t { b.record(TaskId::new(y)); } }
-        let before = a.known_done();
-        a.merge(&b);
-        prop_assert!(a.known_done() >= before);
-        prop_assert!(a.known_done() >= b.known_done().min(t));
-        prop_assert_eq!(a.all_done(), a.known_done() == t);
+        let mut a = BitSet::new(t);
+        for &x in &xs { if x < t { a.insert(x); } }
+        let mut b = BitSet::new(t);
+        for &y in &ys { if y < t { b.insert(y); } }
+        let before = a.count();
+        a.union_with(&b);
+        prop_assert!(a.count() >= before);
+        prop_assert!(a.count() >= b.count());
+        prop_assert_eq!(a.is_full(), a.count() == t);
     }
 
     /// Instance units is min(p, t) and the job map is consistent with it.

@@ -96,6 +96,9 @@ pub trait Adversary: Send {
     /// adversary's contract and is checked nowhere, and no report records
     /// the largest delay returned (adding `max_delay` to `RunReport` is an
     /// open item in ROADMAP.md, "Model contracts checked, not promised").
+    /// The delivery instant `view.now + delay` saturates at `u64::MAX`,
+    /// an instant that is never due, so a delay too large to represent
+    /// delivers nothing instead of wrapping to an early instant.
     fn message_delay(&mut self, view: &SimView<'_>, from: ProcId, to: ProcId) -> u64 {
         let _ = (view, from, to);
         1

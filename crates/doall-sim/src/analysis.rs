@@ -174,12 +174,6 @@ impl ExecutionProfile {
         self.primary_executions + self.secondary_executions
     }
 
-    /// The largest number of times any single task was performed.
-    #[must_use]
-    pub fn max_multiplicity(&self) -> usize {
-        self.multiplicity.iter().copied().max().unwrap_or(0)
-    }
-
     /// Fraction of performances that were redundant.
     #[must_use]
     pub fn redundancy(&self) -> f64 {
@@ -277,7 +271,6 @@ mod tests {
         assert_eq!(p.secondary_executions, 1);
         assert_eq!(p.multiplicity, vec![3, 1]);
         assert_eq!(p.total_executions(), 4);
-        assert_eq!(p.max_multiplicity(), 3);
         assert!((p.redundancy() - 0.25).abs() < 1e-12);
     }
 

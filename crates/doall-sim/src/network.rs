@@ -121,13 +121,6 @@ impl Slot {
         self.for_groups_of(pid, processors, |group| out.push(group.clone()));
     }
 
-    /// How many groups hold `pid`.
-    fn groups_for(&self, pid: usize, processors: usize) -> usize {
-        let mut n = 0;
-        self.for_groups_of(pid, processors, |_| n += 1);
-        n
-    }
-
     /// Adds a group with no recipients yet and returns its index.
     fn open_group(&mut self, group: Message, processors: usize) -> usize {
         let g = self.groups.len();
@@ -391,22 +384,6 @@ impl Mailboxes {
         out
     }
 
-    /// Number of messages deliverable to `pid` at `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` is out of range.
-    #[must_use]
-    pub fn due_count(&self, pid: usize, now: u64) -> usize {
-        let p = self.processors();
-        let listed: usize = self.boxes[pid].range(..=now).map(|(_, v)| v.len()).sum();
-        let calendar: usize = self
-            .due_slots(pid, now)
-            .map(|s| usize::from(s.union.is_some()) + s.groups_for(pid, p))
-            .sum();
-        listed + calendar
-    }
-
     /// Total number of in-flight messages (any delivery time): one per
     /// list entry, and, for the calendar, one per recipient still owed
     /// each broadcast — `p − 1` for a broadcast no one has received yet,
@@ -428,9 +405,13 @@ impl Mailboxes {
                 let waiting = (0..p).filter(|&pid| owed(pid)).count();
                 let own = slot.senders.iter().filter(|s| owed(s.index())).count();
                 let union = slot.senders.len() * waiting - own;
-                let groups: usize = (0..p)
-                    .filter(|&pid| owed(pid))
-                    .map(|pid| slot.groups_for(pid, p))
+                // Mask word `i` holds processor `i % p`'s group bits.
+                let groups: usize = slot
+                    .masks
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| owed(i % p))
+                    .map(|(_, word)| word.count_ones() as usize)
                     .sum();
                 union + groups
             })
@@ -486,7 +467,6 @@ mod tests {
         let mut m = Mailboxes::new(1);
         m.push(0, 2, msg(0));
         assert_eq!(m.peek_due(0, 3).len(), 1);
-        assert_eq!(m.due_count(0, 3), 1);
         assert_eq!(m.peek_due(0, 1).len(), 0);
         assert_eq!(m.drain_due(0, 3).len(), 1, "peek left it in place");
     }
@@ -606,16 +586,15 @@ mod tests {
         m.push(1, 2, msg(2));
         m.broadcast_uniform(ProcId::new(0), 2, &payload(0));
         m.broadcast_per_recipient(ProcId::new(2), &payload(1), |_| 2);
-        assert_eq!(m.due_count(1, 1), 0);
+        assert!(m.peek_due(1, 1).is_empty());
         assert_eq!(senders(&m.peek_due(1, 2)), [2, 0, 2]);
-        assert_eq!(m.due_count(1, 2), 3);
         assert_eq!(
             senders(&m.drain_due(1, 2)),
             [2, 0, 2],
             "peek consumed nothing"
         );
-        assert_eq!(m.due_count(1, 2), 0);
-        assert_eq!(m.due_count(0, 2), 2, "others still see the slot");
+        assert!(m.peek_due(1, 2).is_empty());
+        assert_eq!(m.peek_due(0, 2).len(), 2, "others still see the slot");
     }
 
     #[test]
@@ -657,7 +636,7 @@ mod tests {
         m.end_instant(5);
         m.reset(70);
         assert_eq!(m.in_flight(), 0);
-        assert_eq!(m.due_count(0, 10), 0);
+        assert!(m.peek_due(0, 10).is_empty());
         // Instants restart at 0, and masks fit the new processor count.
         m.broadcast_per_recipient(ProcId::new(0), &payload(2), |_| 1);
         assert_eq!(m.drain_due(69, 1).len(), 1);

@@ -4,9 +4,7 @@
 use crate::adversary::Delivery;
 use crate::trace::{NoTrace, Recorder};
 use crate::{Adversary, Mailboxes, SimView, Trace, TraceEvent, TraceMode};
-use doall_core::{
-    BitSet, DoAllProcess, Instance, Message, MessageTally, ProcId, RunReport, WorkTally,
-};
+use doall_core::{BitSet, DoAllProcess, Instance, Message, ProcId, RunReport};
 use std::sync::Arc;
 
 /// Default safety cutoff: ticks after which a run is abandoned as
@@ -163,8 +161,8 @@ impl SimulationBuilder {
 }
 
 /// The recycled per-run scratch state: the mailboxes, the ground-truth
-/// task set, each task's first-performed tick, the work tally, and the
-/// inbox buffer. A batch resets one arena per replicate instead of
+/// task set, each task's first-performed tick, the work per processor,
+/// and the inbox buffer. A batch resets one arena per replicate instead of
 /// reallocating any of it.
 struct SimArena {
     mailboxes: Mailboxes,
@@ -172,7 +170,8 @@ struct SimArena {
     /// The tick at which each task was first performed (`u64::MAX`:
     /// not yet), which tells primary executions from secondary ones.
     first_performed: Vec<u64>,
-    work: WorkTally,
+    /// Work charged to each processor: one unit per completed step.
+    work: Vec<u64>,
     inbox: Vec<Message>,
 }
 
@@ -182,7 +181,7 @@ impl SimArena {
             mailboxes: Mailboxes::new(0),
             tasks_done: BitSet::new(0),
             first_performed: Vec::new(),
-            work: WorkTally::new(0),
+            work: Vec::new(),
             inbox: Vec::new(),
         }
     }
@@ -196,7 +195,8 @@ impl SimArena {
         }
         self.first_performed.clear();
         self.first_performed.resize(tasks, u64::MAX);
-        self.work.reset(processors);
+        self.work.clear();
+        self.work.resize(processors, 0);
         self.inbox.clear();
     }
 }
@@ -339,7 +339,7 @@ fn execute<R: Recorder>(
     );
     arena.reset(p, t);
     let delivery = adversary.delivery();
-    let mut msgs = MessageTally::new();
+    let mut messages = 0u64;
     let (mut primary, mut secondary) = (0u64, 0u64);
     let mut sigma: Option<u64> = None;
     let mut now: u64 = 0;
@@ -368,7 +368,7 @@ fn execute<R: Recorder>(
             arena.inbox.clear();
             arena.mailboxes.drain_due_into(pid, now, &mut arena.inbox);
             let outcome = procs[pid].step(&arena.inbox);
-            arena.work.charge(pid);
+            arena.work[pid] += 1;
 
             if let Some(task) = outcome.performed {
                 arena.tasks_done.insert(task.index());
@@ -396,7 +396,7 @@ fn execute<R: Recorder>(
                         // Full broadcast: `p − 1` messages charged, and
                         // the payload stored in the broadcast calendar.
                         let recipients = p - 1;
-                        msgs.charge(recipients as u64);
+                        messages += recipients as u64;
                         if R::ENABLED {
                             rec.record(TraceEvent::Send {
                                 now,
@@ -426,7 +426,11 @@ fn execute<R: Recorder>(
                                         delay >= 1,
                                         "message delays are at least one time unit"
                                     );
-                                    arena.mailboxes.broadcast_uniform(from, now + delay, &bits);
+                                    arena.mailboxes.broadcast_uniform(
+                                        from,
+                                        now.saturating_add(delay),
+                                        &bits,
+                                    );
                                 }
                                 Delivery::PerRecipient => {
                                     let view = SimView {
@@ -442,7 +446,7 @@ fn execute<R: Recorder>(
                                             delay >= 1,
                                             "message delays are at least one time unit"
                                         );
-                                        now + delay
+                                        now.saturating_add(delay)
                                     });
                                 }
                             }
@@ -455,7 +459,7 @@ fn execute<R: Recorder>(
                             .iter()
                             .filter(|to| to.index() != pid && to.index() < p)
                             .count();
-                        msgs.charge(recipients as u64);
+                        messages += recipients as u64;
                         if R::ENABLED {
                             rec.record(TraceEvent::Send {
                                 now,
@@ -478,7 +482,7 @@ fn execute<R: Recorder>(
                             assert!(delay >= 1, "message delays are at least one time unit");
                             arena.mailboxes.push(
                                 to,
-                                now + delay,
+                                now.saturating_add(delay),
                                 Message::new(from, Arc::clone(&bits)),
                             );
                         }
@@ -508,11 +512,11 @@ fn execute<R: Recorder>(
     }
 
     RunReport {
-        work: arena.work.total(),
-        messages: msgs.total(),
+        work: arena.work.iter().sum(),
+        messages,
         sigma,
         completed: arena.tasks_done.is_full() && sigma.is_some(),
-        work_per_processor: arena.work.per_processor().to_vec(),
+        work_per_processor: arena.work.clone(),
         primary_executions: primary,
         secondary_executions: secondary,
     }
@@ -730,6 +734,88 @@ mod tests {
         assert_eq!(fast.sigma, Some(1));
         assert_eq!(slow.sigma, Some(10));
         assert!(slow.work > fast.work, "delay inflates charged work");
+    }
+
+    #[test]
+    fn unrepresentable_delivery_instants_are_never_due() {
+        /// Proc 0 performs the single task at tick 1 and sends it, by
+        /// broadcast or by multicast to everyone; the others know
+        /// completion once they hear of it.
+        #[derive(Clone)]
+        struct LateTeller {
+            pid: ProcId,
+            steps: u64,
+            multicast: bool,
+            heard: bool,
+        }
+        impl DoAllProcess for LateTeller {
+            fn pid(&self) -> ProcId {
+                self.pid
+            }
+            fn step(&mut self, inbox: &[Message]) -> StepOutcome {
+                self.steps += 1;
+                self.heard |= !inbox.is_empty();
+                if (self.pid.index(), self.steps) != (0, 2) {
+                    return StepOutcome::internal();
+                }
+                let mut bits = BitSet::new(1);
+                bits.insert(0);
+                if self.multicast {
+                    let everyone = (1..3).map(ProcId::new).collect();
+                    StepOutcome::perform_and_multicast(TaskId::new(0), bits, everyone)
+                } else {
+                    StepOutcome::perform_and_broadcast(TaskId::new(0), bits)
+                }
+            }
+            fn knows_all_done(&self) -> bool {
+                self.heard
+            }
+            fn clone_box(&self) -> Box<dyn DoAllProcess> {
+                Box::new(self.clone())
+            }
+        }
+        struct Delay(u64, Delivery);
+        impl Adversary for Delay {
+            fn message_delay(&mut self, _: &SimView<'_>, _: ProcId, _: ProcId) -> u64 {
+                self.0
+            }
+            fn delivery(&self) -> Delivery {
+                self.1
+            }
+        }
+        let instance = Instance::new(3, 1).unwrap();
+        // The uniform, per-recipient and multicast fan-outs.
+        for (delivery, multicast) in [
+            (Delivery::UniformBroadcast, false),
+            (Delivery::PerRecipient, false),
+            (Delivery::PerRecipient, true),
+        ] {
+            let run = |delay| {
+                let procs = (0..3)
+                    .map(|i| {
+                        Box::new(LateTeller {
+                            pid: ProcId::new(i),
+                            steps: 0,
+                            multicast,
+                            heard: false,
+                        }) as Box<dyn DoAllProcess>
+                    })
+                    .collect();
+                Simulation::builder(instance)
+                    .procs(procs)
+                    .adversary(Box::new(Delay(delay, delivery)))
+                    .max_ticks(20)
+                    .build()
+                    .run()
+            };
+            // Sent at tick 1 with delay 2, heard at tick 3.
+            assert_eq!(run(2).sigma, Some(3), "{delivery:?} multicast={multicast}");
+            // `1 + u64::MAX` saturates to an instant that never comes; it
+            // must not wrap around to tick 0 and deliver at once.
+            let never = run(u64::MAX);
+            assert_eq!(never.sigma, None, "{delivery:?} multicast={multicast}");
+            assert_eq!((never.messages, never.work), (2, 60));
+        }
     }
 
     #[test]

@@ -21,12 +21,6 @@ pub struct SimView<'a> {
 }
 
 impl<'a> SimView<'a> {
-    /// Number of tasks not yet performed (`u_s` in the lower-bound proofs).
-    #[must_use]
-    pub fn undone_count(&self) -> usize {
-        self.tasks - self.tasks_done.count()
-    }
-
     /// Iterator over the indices of unperformed tasks (the set `U_s`).
     pub fn undone(&self) -> impl Iterator<Item = usize> + 'a {
         self.tasks_done.iter_zeros()
@@ -48,7 +42,6 @@ mod tests {
             tasks: 5,
             tasks_done: &done,
         };
-        assert_eq!(view.undone_count(), 3);
         assert_eq!(view.undone().collect::<Vec<_>>(), vec![0, 2, 4]);
     }
 }

@@ -28,7 +28,6 @@ proptest! {
                 .filter(|&&(to, at)| to == pid && at <= probe)
                 .count();
             prop_assert_eq!(boxes.peek_due(pid, probe).len(), due_expected);
-            prop_assert_eq!(boxes.due_count(pid, probe), due_expected);
             let drained = boxes.drain_due(pid, probe);
             prop_assert_eq!(drained.len(), due_expected);
             prop_assert!(boxes.drain_due(pid, probe).is_empty(), "exactly once");

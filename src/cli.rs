@@ -241,7 +241,9 @@ ADVERSARIES (ADV, default 'stage'):
 Adversaries are parameterized: bare keys keep their legacy defaults
 (bursty period max(d/2,1); lb/lbrand stage min(d, max(t/6,1)); crash
 stagger even; straggler 25% at slowdown 2). Numeric knobs canonicalize
-(crash:07 ≡ crash:7), so one adversary has one cell identity.
+(crash:07 ≡ crash:7), so one adversary has one cell identity. An
+algorithm's number has one spelling too: da:03 and da:+3 are refused
+(write da:3).
 
 BACKENDS (B): sim | threads
   The optional backends= axis runs every cell once per backend: `sim` is

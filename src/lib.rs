@@ -69,8 +69,8 @@
 pub mod cli;
 
 pub use doall_core::{
-    BitSet, CoreError, DoAllProcess, DoneSet, Instance, JobCursor, JobId, JobMap, Message,
-    MessageTally, ProcId, RunReport, StepOutcome, TaskId, WorkTally,
+    BitSet, CoreError, DoAllProcess, Instance, JobId, JobMap, Message, ProcId, RunReport,
+    StepOutcome, TaskId,
 };
 
 /// The paper's algorithms and baselines (re-export of `doall-algorithms`).

@@ -57,6 +57,45 @@ fn a_closed_stdout_exits_2_without_a_panic() {
 }
 
 #[test]
+fn a_delay_of_u64_max_exits_0_and_delivers_nothing() {
+    // Every message is sent after tick 0, so its delivery instant
+    // `now + d` saturates and never comes: all p = 4 processors perform
+    // all t = 8 tasks, W = p·t = 32. A wrapped sum would deliver early
+    // and report the d = 1 work of 16; an unchecked one panics (exit 101).
+    let out = doall(&[
+        "simulate",
+        "--algo",
+        "paran1",
+        "-p",
+        "4",
+        "-t",
+        "8",
+        "-d",
+        "18446744073709551615",
+        "--adversary",
+        "fixed",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("work: 32,"), "{stdout}");
+}
+
+#[test]
+fn an_algorithm_key_has_one_spelling() {
+    for (bad, good) in [
+        ("da:03", "da:3"),
+        ("da:+3", "da:3"),
+        ("gossip:02", "gossip:2"),
+    ] {
+        let grid = format!("algos=da:3,{bad} advs=unit shapes=4x8 ds=1 seeds=1 seed=0");
+        let out = doall(&["sweep", "--grid", &grid]);
+        assert_eq!(out.status.code(), Some(2), "{bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("write `{good}`")), "{stderr}");
+    }
+}
+
+#[test]
 fn oversized_threads_cells_exit_2_before_spawning() {
     // One OS thread per processor: 2000 of them is refused up front.
     let grid = "algos=paran1 backends=threads shapes=2000x2000 ds=1 seeds=1 seed=0";
