@@ -90,6 +90,7 @@ impl Da {
         reason = "invariant: the search returns q permutations of [q] by construction"
     )]
     pub fn with_default_schedules(q: usize, seed: u64) -> Self {
+        assert!(q >= 2, "DA(q) requires q ≥ 2");
         let (schedules, _) = search::low_contention_list(q, seed);
         Self::new(q, schedules).expect("searched list has the right shape")
     }

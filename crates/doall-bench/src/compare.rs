@@ -30,7 +30,6 @@ use crate::resultset::{
 };
 use crate::Table;
 use std::collections::BTreeSet;
-use std::fmt;
 use std::fmt::Write as _;
 
 /// Version of the *diff* JSON schema emitted by
@@ -77,24 +76,6 @@ pub fn preserve_measured_values(results: &mut ResultSet, old: &BaselineSet) {
                 }
             }
         }
-    }
-}
-
-/// An error from loading or comparing result sets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompareError(String);
-
-impl fmt::Display for CompareError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for CompareError {}
-
-impl From<ResultSetError> for CompareError {
-    fn from(e: ResultSetError) -> Self {
-        CompareError(e.to_string())
     }
 }
 
@@ -468,12 +449,12 @@ impl Comparison {
 ///
 /// # Errors
 ///
-/// Returns a [`CompareError`] if either file cannot be read or parsed.
+/// Returns a [`ResultSetError`] if either file cannot be read or parsed.
 pub fn compare_files(
     old_path: &str,
     new_path: &str,
     tolerance: f64,
-) -> Result<Comparison, CompareError> {
+) -> Result<Comparison, ResultSetError> {
     let old = load_result_set(old_path)?;
     let new = load_result_set(new_path)?;
     Ok(compare(&old, &new, tolerance))

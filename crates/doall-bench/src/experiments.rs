@@ -303,11 +303,11 @@ mod tests {
             threads: Some(2),
             ..SuiteConfig::default()
         };
-        let outcome = run_scenario(e01, &cfg).unwrap();
-        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        let (summary, records) = run_scenario(e01, &cfg).unwrap();
+        assert!(summary.failures.is_empty(), "{:?}", summary.failures);
         // roster × 1 shape × 2 ds
-        assert_eq!(outcome.records.len(), ROSTER.len() * 2);
-        for r in &outcome.records {
+        assert_eq!(records.len(), ROSTER.len() * 2);
+        for r in &records {
             assert!(r.metrics.contains_key("mean_work"));
             assert!(r.metrics.contains_key("median_work"));
             assert!(r.metrics.contains_key("max_messages"));

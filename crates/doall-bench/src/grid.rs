@@ -1199,38 +1199,45 @@ mod tests {
         assert_eq!(cell.run_seed(2), cell.run_seed(2));
     }
 
+    /// Every algorithm key but `padet-affine`, which needs a prime job
+    /// count. da:5..=8 are valid too but their certified schedule search
+    /// is too slow for a debug-mode unit test; CI's release smoke run
+    /// exercises them via e13.
+    const KEYS_FOR_ANY_SHAPE: [&str; 11] = [
+        "soloall",
+        "oblido",
+        "oblido-searched",
+        "oblido-worst",
+        "da:2",
+        "da:4",
+        "paran1",
+        "paran2",
+        "padet",
+        "padet-rot",
+        "gossip:2",
+    ];
+
+    /// Builds `key` for a `p × t` instance and runs it to completion
+    /// under unit delays.
+    fn build_and_run(key: &str, p: usize, t: usize) {
+        let instance = Instance::new(p, t).unwrap();
+        let algo = build_algorithm(key, instance, 1).unwrap_or_else(|e| panic!("{key}: {e}"));
+        let report = doall_sim::Simulation::builder(instance)
+            .procs(algo.spawn(instance))
+            .adversary(Box::new(UnitDelay))
+            .max_ticks(10_000)
+            .build()
+            .run();
+        assert!(report.completed, "{key} at {p}x{t}");
+    }
+
     #[test]
     fn builds_every_documented_key() {
         // Both shapes have 5 jobs: more tasks than processors, and more
         // processors than tasks.
         for (p, t) in [(5, 13), (13, 5)] {
-            let instance = Instance::new(p, t).unwrap();
-            for key in [
-                "soloall",
-                "oblido",
-                "oblido-searched",
-                "oblido-worst",
-                "da:2",
-                // da:5..=8 are valid too but their certified schedule search is
-                // too slow for a debug-mode unit test; CI's release smoke run
-                // exercises them via e13.
-                "da:4",
-                "paran1",
-                "paran2",
-                "padet",
-                "padet-rot",
-                "padet-affine",
-                "gossip:2",
-            ] {
-                let algo =
-                    build_algorithm(key, instance, 1).unwrap_or_else(|e| panic!("{key}: {e}"));
-                let report = doall_sim::Simulation::builder(instance)
-                    .procs(algo.spawn(instance))
-                    .adversary(Box::new(UnitDelay))
-                    .max_ticks(10_000)
-                    .build()
-                    .run();
-                assert!(report.completed, "{key} at {p}x{t}");
+            for key in KEYS_FOR_ANY_SHAPE.into_iter().chain(["padet-affine"]) {
+                build_and_run(key, p, t);
             }
         }
         for key in [
@@ -1258,6 +1265,16 @@ mod tests {
             let spec = AdversarySpec::parse(key).unwrap_or_else(|e| panic!("{key}: {e}"));
             let adversary = build_adversary(&spec, 5, 5, 2, 1, 1_000);
             assert!(!adversary.name().is_empty(), "{key}");
+        }
+    }
+
+    #[test]
+    fn one_job_instances_build_and_run() {
+        // min(p, t) = 1: one processor, or one task.
+        for (p, t) in [(1, 5), (5, 1)] {
+            for key in KEYS_FOR_ANY_SHAPE {
+                build_and_run(key, p, t);
+            }
         }
     }
 

@@ -34,25 +34,6 @@ pub mod scenario;
 pub mod suite;
 pub mod sweep;
 
-pub use compare::{
-    compare, compare_files, preserve_measured_values, CellDiff, CellStatus, CompareError,
-    Comparison, MetricDelta, DIFF_SCHEMA_VERSION,
-};
-pub use experiments::{derive_by_name, scenarios_dir, DeriveFn};
-pub use grid::{AdversarySpec, Cell, CrashStagger, Grid, GridError};
-pub use resultset::{
-    canonical_adversary, load_result_set, parse_json, parse_result_set, BaselineSet, CellKey, Json,
-    Record, ResultSet, ResultSetError, SCHEMA_VERSION,
-};
-pub use scenario::{Assertion, Scenario, ScenarioError};
-pub use suite::{
-    load_dir, run_scenario, run_suite, AssertionFailure, ScenarioOutcome, SuiteConfig, SuiteReport,
-};
-pub use sweep::{
-    effective_shard_size, run_cells, run_cells_with_stats, CellMeasurement, SweepConfig,
-    SweepError, SweepStats,
-};
-
 /// A Markdown table accumulated row by row and rendered to a string.
 #[derive(Debug, Default)]
 pub struct Table {

@@ -198,31 +198,19 @@ pub fn cell_label(cell: &Cell) -> String {
     )
 }
 
-/// One scenario's execution: its records plus assertion results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioOutcome {
-    /// Scenario id.
-    pub id: String,
-    /// Cells executed.
-    pub cells: usize,
-    /// Assertion evaluations performed (per-cell checks count each cell).
-    pub checks: usize,
-    /// Every failed assertion.
-    pub failures: Vec<AssertionFailure>,
-    /// The scenario's records (measured + derived metrics), in cell
-    /// order — merged into the suite's [`ResultSet`] by [`run_suite`].
-    pub records: Vec<Record>,
-}
-
 /// Runs one scenario under `cfg`: expands and validates its grids, runs
 /// the cells through the sweep engine, applies the derive hook, and
-/// evaluates every assertion.
+/// evaluates every assertion. Returns the scenario's tallies and its
+/// records (measured + derived metrics), in cell order.
 ///
 /// # Errors
 ///
 /// Returns a rendered message for invalid grids, unknown derive hooks,
 /// and sweep failures (bad keys, tick-cutoff hits).
-pub fn run_scenario(scn: &Scenario, cfg: &SuiteConfig) -> Result<ScenarioOutcome, String> {
+pub fn run_scenario(
+    scn: &Scenario,
+    cfg: &SuiteConfig,
+) -> Result<(ScenarioSummary, Vec<Record>), String> {
     let derive = match &scn.derive {
         Some(name) => Some(
             derive_by_name(name)
@@ -303,13 +291,13 @@ pub fn run_scenario(scn: &Scenario, cfg: &SuiteConfig) -> Result<ScenarioOutcome
             });
         }
     }
-    Ok(ScenarioOutcome {
+    let summary = ScenarioSummary {
         id: scn.id.clone(),
         cells: records.len(),
         checks,
         failures,
-        records,
-    })
+    };
+    Ok((summary, records))
 }
 
 /// One row of the suite report: a scenario's tallies without its records.
@@ -349,14 +337,9 @@ pub fn run_suite(scenarios: &[Scenario], cfg: &SuiteConfig) -> Result<SuiteRepor
     let mut summaries = Vec::with_capacity(scenarios.len());
     let mut records = Vec::new();
     for scn in scenarios {
-        let outcome = run_scenario(scn, cfg)?;
-        summaries.push(ScenarioSummary {
-            id: outcome.id,
-            cells: outcome.cells,
-            checks: outcome.checks,
-            failures: outcome.failures,
-        });
-        records.extend(outcome.records);
+        let (summary, scenario_records) = run_scenario(scn, cfg)?;
+        summaries.push(summary);
+        records.extend(scenario_records);
     }
     Ok(SuiteReport {
         scenarios: summaries,
@@ -533,11 +516,11 @@ mod tests {
              assert work >= t\n\
              assert ratio_quadratic > 0\n",
         );
-        let outcome = run_scenario(&scn, &smoke_cfg()).unwrap();
-        assert_eq!(outcome.cells, 2);
-        assert_eq!(outcome.checks, 4, "2 assertions × 2 cells");
-        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-        assert!(outcome.records.iter().all(|r| r.experiment == "tiny"));
+        let (summary, records) = run_scenario(&scn, &smoke_cfg()).unwrap();
+        assert_eq!(summary.cells, 2);
+        assert_eq!(summary.checks, 4, "2 assertions × 2 cells");
+        assert!(summary.failures.is_empty(), "{:?}", summary.failures);
+        assert!(records.iter().all(|r| r.experiment == "tiny"));
     }
 
     #[test]
@@ -547,9 +530,9 @@ mod tests {
              grid = algos=soloall advs=unit shapes=4x8 ds=1 seeds=1 seed=0\n\
              assert work <= 1\n",
         );
-        let outcome = run_scenario(&scn, &smoke_cfg()).unwrap();
-        assert_eq!(outcome.failures.len(), 1);
-        let msg = outcome.failures[0].to_string();
+        let (summary, _) = run_scenario(&scn, &smoke_cfg()).unwrap();
+        assert_eq!(summary.failures.len(), 1);
+        let msg = summary.failures[0].to_string();
         assert!(
             msg.contains("tiny: `assert work <= 1` violated at ("),
             "{msg}"
@@ -578,13 +561,13 @@ mod tests {
              assert [algo=padet] work >= t\n\
              assert agg max(no_such_metric) >= 1\n",
         );
-        let outcome = run_scenario(&scn, &smoke_cfg()).unwrap();
-        assert_eq!(outcome.failures.len(), 3);
-        assert!(outcome
+        let (summary, _) = run_scenario(&scn, &smoke_cfg()).unwrap();
+        assert_eq!(summary.failures.len(), 3);
+        assert!(summary
             .failures
             .iter()
             .all(|f| matches!(f.kind, FailureKind::NoMatch)));
-        assert!(outcome.failures[0].to_string().contains("matched no cells"));
+        assert!(summary.failures[0].to_string().contains("matched no cells"));
     }
 
     #[test]
@@ -594,11 +577,11 @@ mod tests {
              grid = algos=soloall,paran1 advs=unit shapes=4x8 ds=1 seeds=1 seed=0\n\
              assert agg min(work) >= 10000\n",
         );
-        let outcome = run_scenario(&scn, &smoke_cfg()).unwrap();
-        assert_eq!(outcome.checks, 1);
-        assert_eq!(outcome.failures.len(), 1);
+        let (summary, _) = run_scenario(&scn, &smoke_cfg()).unwrap();
+        assert_eq!(summary.checks, 1);
+        assert_eq!(summary.failures.len(), 1);
         assert!(matches!(
-            outcome.failures[0].kind,
+            summary.failures[0].kind,
             FailureKind::Violated { cell: None, .. }
         ));
     }

@@ -1,12 +1,15 @@
 //! The parallel sweep engine: executes the cells of one or more grids
-//! across a scoped thread pool, with results slotted by position so the
-//! output is bit-identical regardless of thread count **and** shard size.
+//! across a scoped thread pool, with results put back in shard order so
+//! the output is bit-identical regardless of thread count **and** shard
+//! size.
 //!
 //! The unit of scheduled work is a *(cell, replicate-chunk)* shard, not a
 //! whole cell: a shared atomic cursor walks a flattened shard list, each
-//! worker runs its chunk of a cell's seeds via [`Simulation::run_batch`],
-//! and the per-shard [`RunReport`]s are merged back **in replicate
-//! order** before [`summarize`] / execution-count averaging.
+//! worker runs its chunk of a cell's seeds via [`Simulation::run_batch`]
+//! and returns the shards it ran, tagged with their index, from its
+//! scoped thread. After the join the per-shard [`RunReport`]s are merged
+//! back **in replicate order** before [`summarize`] / execution-count
+//! averaging.
 //! Because every replicate's seed derives from the cell's own parameters
 //! and the replicate's absolute index (see [`crate::grid::Cell::run_seed`]),
 //! neither the claim order, the worker count, nor the shard boundaries can
@@ -24,10 +27,8 @@ use doall_core::Instance;
 use doall_runtime::RuntimeConfig;
 use doall_sim::analysis::{summarize, BatchSummary};
 use doall_sim::{Simulation, DEFAULT_MAX_TICKS};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Pace of a full-speed processor on the `threads` backend. Real threads
@@ -243,17 +244,19 @@ pub struct SweepStats {
 }
 
 /// One unit of scheduled work: replicates `start .. start + len` of cell
-/// `cells[cell]`, writing into merge slot `slot` of that cell.
+/// `cells[cell]`.
 #[derive(Debug, Clone, Copy)]
 struct Shard {
     cell: usize,
-    slot: usize,
     start: u64,
     len: u64,
 }
 
 /// What a shard produced: its chunk's reports (in replicate order) and,
 /// on the `threads` backend, the per-replicate measured-side probes.
+/// Concatenated in shard order, a cell's outputs are its replicates in
+/// order.
+#[derive(Default)]
 struct ShardOutput {
     reports: Vec<doall_core::RunReport>,
     probes: Vec<ThreadsProbe>,
@@ -304,17 +307,14 @@ fn plan_shards(cells: &[Cell], cfg: &SweepConfig) -> Vec<Shard> {
         }
         let size = effective_shard_size(simulated, cell.seeds, cfg);
         let mut start = 0u64;
-        let mut slot = 0usize;
         while start < cell.seeds {
             let len = size.min(cell.seeds - start);
             shards.push(Shard {
                 cell: cell_idx,
-                slot,
                 start,
                 len,
             });
             start += len;
-            slot += 1;
         }
     }
     shards
@@ -338,6 +338,12 @@ pub fn run_cells(cells: &[Cell], cfg: &SweepConfig) -> Result<Vec<CellMeasuremen
 /// [`run_cells`] plus the engine's shard/worker accounting — the probe
 /// the determinism tests use to assert that a single huge cell really
 /// engages more than one worker, and the source of perfbench's `sweep.*` layers.
+///
+/// Each worker claims shards from a shared cursor and returns the list of
+/// `(shard index, result)` pairs it ran. After the join the results go
+/// back in shard-index order, which is (cell, replicate) order, so each
+/// cell's outputs are concatenated in replicate order; the first error in
+/// that order is returned.
 ///
 /// # Errors
 ///
@@ -375,88 +381,65 @@ pub fn run_cells_with_stats(
     }
 
     let shards = plan_shards(cells, cfg);
-    let slots_per_cell: Vec<usize> = {
-        let mut counts = vec![0usize; cells.len()];
-        for shard in &shards {
-            counts[shard.cell] = counts[shard.cell].max(shard.slot + 1);
-        }
-        counts
-    };
     let next = AtomicUsize::new(0);
-    let engaged = AtomicUsize::new(0);
-    type SlotGrid = Vec<Vec<Option<ShardOutput>>>;
-    let slots: Mutex<SlotGrid> = Mutex::new(
-        slots_per_cell
-            .iter()
-            .map(|&n| (0..n).map(|_| None).collect())
-            .collect(),
-    );
-    // Errors keyed by (cell, slot): after the join, the lowest key wins,
-    // so the surfaced error is the first failure in replicate order — not
-    // whichever worker's failure happened to land first. The cursor
-    // claims shards in order, so every shard below a claimed failing one
-    // was itself claimed and runs to completion before its worker exits;
-    // the minimum over collected errors is therefore scheduling-free.
-    let errors: Mutex<BTreeMap<(usize, usize), SweepError>> = Mutex::new(BTreeMap::new());
-    let workers = cfg.threads.max(1).min(shards.len().max(1));
+    // Each worker returns every shard it ran, tagged with its index. A
+    // failure drains the cursor so every worker exits fast; shards in
+    // flight still finish and keep their own results.
     let worker = || {
-        let mut claimed_any = false;
+        let mut ran = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= shards.len() {
-                break;
+            let Some(shard) = shards.get(i) else {
+                return ran;
+            };
+            let result = run_shard(&cells[shard.cell], shard, cfg);
+            if result.is_err() {
+                next.fetch_add(shards.len(), Ordering::Relaxed);
             }
-            if !claimed_any {
-                claimed_any = true;
-                engaged.fetch_add(1, Ordering::Relaxed);
-            }
-            let shard = shards[i];
-            match run_shard(&cells[shard.cell], &shard, cfg) {
-                Ok(output) => {
-                    slots.lock().expect("poisoned")[shard.cell][shard.slot] = Some(output);
-                }
-                Err(e) => {
-                    errors
-                        .lock()
-                        .expect("poisoned")
-                        .insert((shard.cell, shard.slot), e);
-                    // Drain remaining work so every worker exits
-                    // fast; in-flight shards still finish and
-                    // record their own errors.
-                    next.fetch_add(shards.len(), Ordering::Relaxed);
-                    break;
-                }
-            }
+            ran.push((i, result));
         }
     };
-    if workers == 1 {
+    let workers = cfg.threads.max(1).min(shards.len().max(1));
+    let lists = if workers == 1 {
         // A lone worker needs no pool: run the identical claim loop on
-        // the caller thread (same shard walk, same slotting — results
-        // can't differ) and skip the spawn/join round trip, which on
-        // grids of tiny cells is a measurable slice of the wall-clock.
-        worker();
+        // the caller thread (same shard walk, same results) and skip the
+        // spawn/join round trip, which on grids of tiny cells is a
+        // measurable slice of the wall-clock.
+        vec![worker()]
     } else {
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(worker);
-            }
-        });
-    }
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect::<Vec<_>>()
+        })
+    };
     let stats = SweepStats {
         shards: shards.len(),
         workers,
-        workers_engaged: engaged.load(Ordering::Relaxed),
+        workers_engaged: lists.iter().filter(|ran| !ran.is_empty()).count(),
     };
-    if let Some((_, e)) = errors.into_inner().expect("poisoned").into_iter().next() {
-        return Err(e);
+    // The cursor claims shards in order, so the shards that ran are a
+    // prefix of the list, and every shard below a failing one ran to
+    // completion: the first error in shard order does not depend on
+    // scheduling.
+    let mut ran: Vec<_> = lists.into_iter().flatten().collect();
+    ran.sort_unstable_by_key(|&(i, _)| i);
+    let mut merged: Vec<ShardOutput> = cells.iter().map(|_| ShardOutput::default()).collect();
+    for (i, result) in ran {
+        let output = result?;
+        let cell = &mut merged[shards[i].cell];
+        cell.reports.extend(output.reports);
+        cell.probes.extend(output.probes);
     }
-    let mut slot_grid = slots.into_inner().expect("poisoned").into_iter();
     let measurements = cells
         .iter()
-        .map(|cell| {
-            let cell_slots = slot_grid.next().expect("one slot row per cell");
-            merge_cell(cell, cfg, cell_slots)
-        })
+        .zip(merged)
+        .map(|(cell, output)| merge_cell(cell, cfg, output))
         .collect();
     Ok((measurements, stats))
 }
@@ -585,9 +568,9 @@ fn run_threads_shard(
     Ok(ShardOutput { reports, probes })
 }
 
-/// Merges a cell's shard outputs back, in replicate order, into the
-/// measurement a sequential run would have produced.
-fn merge_cell(cell: &Cell, cfg: &SweepConfig, shards: Vec<Option<ShardOutput>>) -> CellMeasurement {
+/// Turns a cell's shard outputs, concatenated in replicate order, into
+/// the measurement a sequential run would have produced.
+fn merge_cell(cell: &Cell, cfg: &SweepConfig, output: ShardOutput) -> CellMeasurement {
     if cell.algo == ALGO_NONE {
         return CellMeasurement {
             cell: cell.clone(),
@@ -602,15 +585,7 @@ fn merge_cell(cell: &Cell, cfg: &SweepConfig, shards: Vec<Option<ShardOutput>>) 
             max_crashed_backlog: None,
         };
     }
-    let mut reports = Vec::with_capacity(cell.seeds as usize);
-    let mut probes = Vec::new();
-    // Slots are indexed by shard position within the cell, so pushing in
-    // slot order concatenates the chunks back into replicate order.
-    for output in shards {
-        let output = output.expect("error-free sweeps fill every slot");
-        reports.extend(output.reports);
-        probes.extend(output.probes);
-    }
+    let ShardOutput { reports, probes } = output;
     assert_eq!(reports.len(), cell.seeds as usize, "all replicates merged");
     let (crash_count, mean_crashes_fired) = if cell.effective_backend() == Backend::Threads {
         threads_crash_stats(cell, cfg, &probes)

@@ -6,10 +6,10 @@
 //! mutant with `Ok` or `Err`. The mutations come from a fixed-seed LCG,
 //! so a failure names an input that reproduces on every run.
 
+use doall_bench::experiments::scenarios_dir;
 use doall_bench::grid::{AdversarySpec, Grid};
 use doall_bench::resultset::parse_result_set;
 use doall_bench::scenario::{Assertion, Scenario};
-use doall_bench::scenarios_dir;
 use std::panic::catch_unwind;
 
 /// Tokens of the grids, keys, assertions and JSON, plus numbers that

@@ -313,7 +313,7 @@ proptest! {
 /// are caught here.
 #[test]
 fn committed_scenarios_round_trip() {
-    let dir = doall_bench::scenarios_dir();
+    let dir = doall_bench::experiments::scenarios_dir();
     let paths = doall_bench::suite::discover(&dir).expect("committed suite discovers");
     assert!(!paths.is_empty());
     for path in paths {

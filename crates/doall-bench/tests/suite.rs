@@ -5,8 +5,8 @@
 //! the `examples/lb_stage.scn` walkthrough scenario runs clean.
 
 use doall_bench::compare::compare;
+use doall_bench::experiments::scenarios_dir;
 use doall_bench::resultset::{parse_result_set, BaselineSet};
-use doall_bench::scenarios_dir;
 use doall_bench::suite::{load_dir, load_file, run_scenario, run_suite, SuiteConfig};
 use std::path::PathBuf;
 
@@ -145,15 +145,14 @@ fn example_lb_stage_scenario_runs_clean() {
     let path = repo_root().join("examples").join("lb_stage.scn");
     let scn = load_file(&path).expect("example scenario loads");
     assert_eq!(scn.id, "lb-stage");
-    let outcome = run_scenario(&scn, &SuiteConfig::default()).unwrap();
-    assert_eq!(outcome.cells, 4, "lb,lb:2 × d=2,12");
-    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    let (summary, records) = run_scenario(&scn, &SuiteConfig::default()).unwrap();
+    assert_eq!(summary.cells, 4, "lb,lb:2 × d=2,12");
+    assert!(summary.failures.is_empty(), "{:?}", summary.failures);
     // The stage-knob claim itself: per d, the pinned spelling forces
     // exactly the work of the computed one.
     for d in [2u64, 12] {
         let work_of = |adv: &str| {
-            outcome
-                .records
+            records
                 .iter()
                 .find(|r| r.cell.adversary.to_string() == adv && r.cell.d == d)
                 .and_then(|r| r.metrics.get("mean_work").copied())
@@ -161,6 +160,33 @@ fn example_lb_stage_scenario_runs_clean() {
         };
         assert_eq!(work_of("lb"), work_of("lb:2"), "d={d}");
     }
+}
+
+/// A one-task instance derives its Lemma 4.1 metrics: the searched list
+/// over one job is the one permutation of [1], with contention 1.
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a scratch scenario tree under the system temp dir"
+)]
+fn one_task_contention_lemmas_scenario_runs_clean() {
+    let dir = std::env::temp_dir().join(format!("doall_suite_one_task_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join("one.scn"),
+        "id = one
+grid = algos=none advs=unit shapes=1x1 ds=1 seeds=1 seed=0
+         derive = contention_lemmas
+assert cont_found == 1
+",
+    )
+    .unwrap();
+    let scenarios = load_dir(&dir).unwrap();
+    let report = run_suite(&scenarios, &SuiteConfig::default());
+    std::fs::remove_dir_all(&dir).unwrap();
+    let report = report.unwrap();
+    assert!(report.is_clean(), "{}", report.render_table());
+    assert_eq!(report.scenarios[0].checks, 1);
 }
 
 /// Failure reports stay actionable end to end: a violated assertion

@@ -156,13 +156,13 @@ pub fn lemma41_bound(n: usize) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics unless `2 ≤ q ≤ 4` (beyond that the space is astronomically
+/// Panics unless `1 ≤ q ≤ 4` (beyond that the space is astronomically
 /// large; use [`hill_climb_low_contention`]).
 #[must_use]
 pub fn exhaustive_min_contention(q: usize) -> (Schedules, usize) {
     assert!(
-        (2..=4).contains(&q),
-        "exhaustive search is only affordable for 2 ≤ q ≤ 4 (got {q})"
+        (1..=4).contains(&q),
+        "exhaustive search is only affordable for 1 ≤ q ≤ 4 (got {q})"
     );
     let all: Vec<Permutation> = Permutation::all(q).collect();
     let mut best: Option<(Vec<Permutation>, usize)> = None;
@@ -256,7 +256,8 @@ pub fn hill_climb_low_contention(q: usize, seed: u64, restarts: usize) -> (Sched
 /// Constructs a list of `q` permutations of `[q]` with certified-low
 /// contention, dispatching on `q`:
 ///
-/// * `q ≤ 3` — provably optimal (exhaustive);
+/// * `q ≤ 3` — provably optimal (exhaustive; at `q = 1` the one
+///   permutation of `[1]`, contention 1);
 /// * `q ≤ 8` — hill-climbing with exact certification;
 /// * otherwise — a random list with an estimated certificate (the
 ///   Theorem 4.4 regime).
@@ -265,10 +266,10 @@ pub fn hill_climb_low_contention(q: usize, seed: u64, restarts: usize) -> (Sched
 ///
 /// # Panics
 ///
-/// Panics if `q < 2`.
+/// Panics if `q == 0`.
 #[must_use]
 pub fn low_contention_list(q: usize, seed: u64) -> (Schedules, DContentionEstimate) {
-    assert!(q >= 2, "DA(q) requires q ≥ 2");
+    assert!(q >= 1, "a schedule list needs at least one job");
     let certified = |(s, value): (Schedules, usize)| {
         let c = DContentionEstimate {
             d: 1,
@@ -278,7 +279,7 @@ pub fn low_contention_list(q: usize, seed: u64) -> (Schedules, DContentionEstima
         (s, c)
     };
     match q {
-        2..=3 => certified(exhaustive_min_contention(q)),
+        1..=3 => certified(exhaustive_min_contention(q)),
         4..=8 => certified(hill_climb_low_contention(q, seed, 3)),
         _ => {
             let s = Schedules::random(q, q, seed);
@@ -300,6 +301,14 @@ mod tests {
         let ok = Schedules::from_perms(vec![Permutation::identity(3); 2]).unwrap();
         assert_eq!(ok.len(), 2);
         assert_eq!(ok.n(), 3);
+    }
+
+    #[test]
+    fn one_job_list_is_the_identity_with_contention_one() {
+        let (s, c) = low_contention_list(1, 0);
+        assert_eq!(s.as_slice(), [Permutation::identity(1)]);
+        assert_eq!((c.d, c.value, c.exact), (1, 1, true));
+        assert_eq!(exhaustive_min_contention(1), (s, 1));
     }
 
     #[test]

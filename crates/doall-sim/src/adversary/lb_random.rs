@@ -7,7 +7,7 @@
 //! the paper's Fig. 1:
 //!
 //! * stages of `L = min{d, ⌈t/6⌉}` units, stage-boundary delivery (as in
-//!   Theorem 3.1);
+//!   Theorem 3.1, by the [`super::StageAligned`] rule with `L` for `d`);
 //! * at the start of stage `s`, the adversary fixes a defended set
 //!   `J_s ⊆ U_s` of `⌈u_s/(L+1)⌉` unperformed tasks — Lemma 3.3 proves a
 //!   good choice exists for *any* task distribution, and for the
@@ -24,7 +24,7 @@
 //! `p/64` processors survive the stage unfrozen while all of `J_s` remains
 //! unperformed.
 
-use super::{Adversary, Delivery};
+use super::{Adversary, Delivery, StageAligned};
 use crate::{Mailboxes, SimView};
 use doall_core::{DoAllProcess, ProcId};
 use rand::rngs::StdRng;
@@ -36,13 +36,16 @@ use std::collections::BTreeSet;
 /// (Theorem 3.4).
 #[derive(Debug)]
 pub struct RandomizedLbAdversary {
-    stage_len: u64,
+    /// Stages of length `L`, whose boundaries deliver every message.
+    stage: StageAligned,
     rng: StdRng,
     // BTreeSet, not HashSet: membership-only today, but a deterministic
     // container keeps any future iteration (debug dumps, tracing) stable
     // across processes — the D001 invariant.
     defended: BTreeSet<usize>,
     frozen: Vec<bool>,
+    /// Closing boundary of the stage currently begun, or `None` before
+    /// the first call.
     planned_stage: Option<u64>,
     stages: u64,
 }
@@ -80,7 +83,7 @@ impl RandomizedLbAdversary {
             "stage length {stage_len} exceeds the delay bound {d}"
         );
         Self {
-            stage_len,
+            stage: StageAligned::new(stage_len),
             rng: StdRng::seed_from_u64(seed),
             defended: BTreeSet::new(),
             frozen: Vec::new(),
@@ -92,7 +95,7 @@ impl RandomizedLbAdversary {
     /// The stage length `L = min{d, max(⌊t/6⌋, 1)}`.
     #[must_use]
     pub fn stage_len(&self) -> u64 {
-        self.stage_len
+        self.stage.d()
     }
 
     /// Number of stages begun so far.
@@ -111,7 +114,7 @@ impl RandomizedLbAdversary {
         if us == 0 {
             return;
         }
-        let l = self.stage_len as usize;
+        let l = self.stage.d() as usize;
         // |J_s| = ⌈u_s/(L+1)⌉, uniformly sampled (Lemma 3.3 existence; all
         // sets equivalent for symmetric algorithms).
         let size = us.div_ceil(l + 1).max(1).min(us);
@@ -139,10 +142,10 @@ impl Adversary for RandomizedLbAdversary {
         procs: &[Box<dyn DoAllProcess>],
         mailboxes: &Mailboxes,
     ) -> Vec<bool> {
-        let start = view.now / self.stage_len * self.stage_len;
-        if self.planned_stage != Some(start) {
+        let boundary = self.stage.next_boundary(view.now);
+        if self.planned_stage != Some(boundary) {
             self.begin_stage(view);
-            self.planned_stage = Some(start);
+            self.planned_stage = Some(boundary);
         }
         if !self.defended.is_empty() {
             // Delay-on-touch: peek one step ahead of every running
@@ -171,14 +174,15 @@ impl Adversary for RandomizedLbAdversary {
         self.frozen.iter().map(|&f| !f).collect()
     }
 
-    fn message_delay(&mut self, view: &SimView<'_>, _from: ProcId, _to: ProcId) -> u64 {
-        (view.now / self.stage_len + 1) * self.stage_len - view.now
+    /// Delivers exactly at the next stage boundary: delay ≤ L ≤ d.
+    fn message_delay(&mut self, view: &SimView<'_>, from: ProcId, to: ProcId) -> u64 {
+        self.stage.message_delay(view, from, to)
     }
 
     /// The delay is a function of `now` alone: every broadcast of a
     /// stage joins the union delivered at its boundary.
     fn delivery(&self) -> Delivery {
-        Delivery::UniformBroadcast
+        self.stage.delivery()
     }
 }
 

@@ -5,8 +5,9 @@
 //!
 //! * Computation is partitioned into *stages* of `L = min{d, ⌈t/6⌉}` time
 //!   units. Every message submitted during a stage is delivered exactly at
-//!   the stage's end, so no information crosses a stage boundary inward —
-//!   legal for a d-adversary because `L ≤ d`.
+//!   the stage's end (the [`super::StageAligned`] rule, with `L` for `d`),
+//!   so no information crosses a stage boundary inward — legal for a
+//!   d-adversary because `L ≤ d`.
 //! * At the start of stage `s`, with `U_s` the still-unperformed tasks
 //!   (`u_s = |U_s|`), the adversary *dry-runs* every processor for `L`
 //!   steps (cloning its state machine and feeding it the messages that are
@@ -26,7 +27,7 @@
 //! cannot arrive mid-stage). For randomized algorithms use
 //! [`super::RandomizedLbAdversary`].
 
-use super::{Adversary, Delivery};
+use super::{Adversary, Delivery, StageAligned};
 use crate::{Mailboxes, SimView};
 use doall_core::{DoAllProcess, ProcId};
 
@@ -34,12 +35,12 @@ use doall_core::{DoAllProcess, ProcId};
 /// (Theorem 3.1).
 #[derive(Debug)]
 pub struct LowerBoundAdversary {
-    d: u64,
-    stage_len: u64,
+    /// Stages of length `L`, whose boundaries deliver every message.
+    stage: StageAligned,
     /// Current stage's frozen set (`true` = delayed for the whole stage).
     frozen: Vec<bool>,
-    /// First tick of the stage currently planned, or `None` before the
-    /// first call.
+    /// Closing boundary of the stage currently planned, or `None` before
+    /// the first call.
     planned_stage: Option<u64>,
     /// Number of stages the adversary has constructed (for reporting).
     stages: u64,
@@ -78,34 +79,23 @@ impl LowerBoundAdversary {
             "stage length {stage_len} exceeds the delay bound {d}"
         );
         Self {
-            d,
-            stage_len,
+            stage: StageAligned::new(stage_len),
             frozen: Vec::new(),
             planned_stage: None,
             stages: 0,
         }
     }
 
-    /// The delay bound `d` this adversary was constructed with.
-    #[must_use]
-    pub fn d(&self) -> u64 {
-        self.d
-    }
-
     /// The stage length `L = min{d, max(⌊t/6⌋, 1)}`.
     #[must_use]
     pub fn stage_len(&self) -> u64 {
-        self.stage_len
+        self.stage.d()
     }
 
     /// Number of stages planned so far.
     #[must_use]
     pub fn stages_planned(&self) -> u64 {
         self.stages
-    }
-
-    fn stage_start(&self, now: u64) -> u64 {
-        now / self.stage_len * self.stage_len
     }
 
     /// Builds the stage plan: dry-run every processor, pick `J_s`, freeze
@@ -125,7 +115,7 @@ impl LowerBoundAdversary {
         if us == 0 {
             return; // completion is imminent; nothing to defend
         }
-        let l = self.stage_len as usize;
+        let l = self.stage.d() as usize;
 
         // Dry-run each processor for L steps: boundary inbox first, then
         // silence (exactly the real stage for an unfrozen processor).
@@ -202,23 +192,23 @@ impl Adversary for LowerBoundAdversary {
         procs: &[Box<dyn DoAllProcess>],
         mailboxes: &Mailboxes,
     ) -> Vec<bool> {
-        let start = self.stage_start(view.now);
-        if self.planned_stage != Some(start) {
+        let boundary = self.stage.next_boundary(view.now);
+        if self.planned_stage != Some(boundary) {
             self.plan_stage(view, procs, mailboxes);
-            self.planned_stage = Some(start);
+            self.planned_stage = Some(boundary);
         }
         self.frozen.iter().map(|&f| !f).collect()
     }
 
-    fn message_delay(&mut self, view: &SimView<'_>, _from: ProcId, _to: ProcId) -> u64 {
-        // Deliver exactly at the next stage boundary: delay ≤ L ≤ d.
-        (view.now / self.stage_len + 1) * self.stage_len - view.now
+    /// Delivers exactly at the next stage boundary: delay ≤ L ≤ d.
+    fn message_delay(&mut self, view: &SimView<'_>, from: ProcId, to: ProcId) -> u64 {
+        self.stage.message_delay(view, from, to)
     }
 
     /// The delay is a function of `now` alone: every broadcast of a
     /// stage joins the union delivered at its boundary.
     fn delivery(&self) -> Delivery {
-        Delivery::UniformBroadcast
+        self.stage.delivery()
     }
 }
 

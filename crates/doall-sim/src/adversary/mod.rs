@@ -91,7 +91,8 @@ pub trait Adversary: Send {
     }
 
     /// The delay, in global time units (`≥ 1`), of a message submitted at
-    /// `view.now` from `from` to `to`. The simulator asserts `≥ 1`. A
+    /// `view.now` from `from` to `to`. The simulator calls this from one
+    /// site, shared by every fan-out, which asserts `≥ 1`. A
     /// *d-adversary* must also return values `≤ d`; that half is the
     /// adversary's contract and is checked nowhere, and no report records
     /// the largest delay returned (adding `max_delay` to `RunReport` is an
@@ -139,5 +140,43 @@ mod tests {
         assert_eq!(plan, vec![true; 4]);
         assert_eq!(a.message_delay(&view, ProcId::new(0), ProcId::new(1)), 1);
         assert_eq!(a.name(), "adversary");
+    }
+
+    #[test]
+    fn stage_adversaries_share_one_boundary_rule() {
+        // Stage length L below the delay bound 2L: the stage, not d, sets
+        // the boundary.
+        let tasks = 600;
+        let done = BitSet::new(tasks);
+        for stage in [1, 4, 10] {
+            let mut adversaries: [Box<dyn Adversary>; 3] = [
+                Box::new(StageAligned::new(stage)),
+                Box::new(LowerBoundAdversary::with_stage_len(2 * stage, tasks, stage)),
+                Box::new(RandomizedLbAdversary::with_stage_len(
+                    2 * stage,
+                    tasks,
+                    stage,
+                    0,
+                )),
+            ];
+            for now in 0..3 * stage {
+                let view = SimView {
+                    now,
+                    processors: 2,
+                    tasks,
+                    tasks_done: &done,
+                };
+                let delays = adversaries
+                    .each_mut()
+                    .map(|a| a.message_delay(&view, ProcId::new(0), ProcId::new(1)));
+                let delay = delays[0];
+                assert_eq!(delays, [delay; 3], "L={stage} now={now}");
+                assert!((1..=stage).contains(&delay), "L={stage} now={now}");
+                assert_eq!((now + delay) % stage, 0, "L={stage} now={now}");
+            }
+            assert!(adversaries
+                .iter()
+                .all(|a| a.delivery() == Delivery::UniformBroadcast));
+        }
     }
 }

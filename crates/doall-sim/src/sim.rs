@@ -23,7 +23,9 @@ pub const DEFAULT_MAX_TICKS: u64 = 2_000_000;
 /// adversary-assigned delays (charging `p − 1` messages each), and checks
 /// for σ: the first time at which all tasks have been performed *and* some
 /// processor knows it. Work and messages are counted up to and including
-/// time σ, matching Definitions 2.1 and 2.2.
+/// time σ, matching Definitions 2.1 and 2.2. Every fan-out asks the
+/// adversary for its delays through one site, which checks that each
+/// delay is at least 1.
 ///
 /// Construct via [`Simulation::builder`]; tracing is opt-in through
 /// [`TraceMode`], and the trace-free instantiation of the inner loop
@@ -275,53 +277,40 @@ impl Simulation {
     /// Runs the execution, returning the report and the trace (when a
     /// recording [`TraceMode`] was selected at build time).
     #[must_use]
-    pub fn run_traced(mut self) -> (RunReport, Option<Trace>) {
-        let mut arena = SimArena::new();
-        let max_ticks = self.max_ticks;
-        match self.trace {
-            TraceMode::Off => {
-                let report = execute(
-                    self.instance,
-                    &mut self.procs,
-                    self.adversary.as_mut(),
-                    max_ticks,
-                    &mut arena,
-                    &mut NoTrace,
-                );
-                (report, None)
+    pub fn run_traced(self) -> (RunReport, Option<Trace>) {
+        let Simulation {
+            instance,
+            mut procs,
+            mut adversary,
+            max_ticks,
+            trace,
+        } = self;
+        let mut trace = match trace {
+            TraceMode::Off => None,
+            TraceMode::Buffered(capacity) => Some(Trace::with_capacity(capacity)),
+            TraceMode::Recycled(mut buffer) => {
+                buffer.clear();
+                Some(buffer)
             }
-            TraceMode::Buffered(capacity) => {
-                let mut trace = Trace::with_capacity(capacity);
-                let report = execute(
-                    self.instance,
-                    &mut self.procs,
-                    self.adversary.as_mut(),
-                    max_ticks,
-                    &mut arena,
-                    &mut trace,
-                );
-                (report, Some(trace))
-            }
-            TraceMode::Recycled(ref mut buffer) => {
-                let mut trace = std::mem::replace(buffer, Trace::with_capacity(0));
-                trace.clear();
-                let report = execute(
-                    self.instance,
-                    &mut self.procs,
-                    self.adversary.as_mut(),
-                    max_ticks,
-                    &mut arena,
-                    &mut trace,
-                );
-                (report, Some(trace))
-            }
-        }
+        };
+        let (procs, adversary, arena) = (&mut procs, adversary.as_mut(), &mut SimArena::new());
+        let report = match &mut trace {
+            None => execute(instance, procs, adversary, max_ticks, arena, &mut NoTrace),
+            Some(trace) => execute(instance, procs, adversary, max_ticks, arena, trace),
+        };
+        (report, trace)
     }
 }
 
 /// The inner loop, monomorphized over the recorder: the
 /// [`TraceMode::Off`] instantiation (`R = NoTrace`) contains no event
 /// construction or recording branches at all.
+///
+/// A step's fan-out builds one `deliver_at(to)` closure, the only caller
+/// of [`Adversary::message_delay`]: it asserts the delay is at least 1
+/// and saturates `now + delay` at `u64::MAX`. A uniform broadcast calls
+/// it once, a per-recipient broadcast once per other processor, and a
+/// multicast once per valid target; with `p = 1` nothing calls it.
 fn execute<R: Recorder>(
     instance: Instance,
     procs: &mut [Box<dyn DoAllProcess>],
@@ -391,102 +380,60 @@ fn execute<R: Recorder>(
             }
             if let Some(bits) = outcome.broadcast {
                 let from = ProcId::new(pid);
-                match outcome.targets {
-                    None => {
-                        // Full broadcast: `p − 1` messages charged, and
-                        // the payload stored in the broadcast calendar.
-                        let recipients = p - 1;
-                        messages += recipients as u64;
-                        if R::ENABLED {
-                            rec.record(TraceEvent::Send {
-                                now,
-                                from,
-                                recipients,
-                            });
-                        }
-                        if recipients > 0 {
-                            match delivery {
-                                Delivery::UniformBroadcast => {
-                                    // One delay per broadcast (the
-                                    // adversary promised it is
-                                    // recipient-oblivious), merged into
-                                    // its instant's union.
-                                    let view = SimView {
-                                        now,
-                                        processors: p,
-                                        tasks: t,
-                                        tasks_done: &arena.tasks_done,
-                                    };
-                                    let delay = adversary.message_delay(
-                                        &view,
-                                        from,
-                                        ProcId::new((pid + 1) % p),
-                                    );
-                                    assert!(
-                                        delay >= 1,
-                                        "message delays are at least one time unit"
-                                    );
-                                    arena.mailboxes.broadcast_uniform(
-                                        from,
-                                        now.saturating_add(delay),
-                                        &bits,
-                                    );
-                                }
-                                Delivery::PerRecipient => {
-                                    let view = SimView {
-                                        now,
-                                        processors: p,
-                                        tasks: t,
-                                        tasks_done: &arena.tasks_done,
-                                    };
-                                    arena.mailboxes.broadcast_per_recipient(from, &bits, |to| {
-                                        let delay =
-                                            adversary.message_delay(&view, from, ProcId::new(to));
-                                        assert!(
-                                            delay >= 1,
-                                            "message delays are at least one time unit"
-                                        );
-                                        now.saturating_add(delay)
-                                    });
-                                }
-                            }
-                        }
+                let view = SimView {
+                    now,
+                    processors: p,
+                    tasks: t,
+                    tasks_done: &arena.tasks_done,
+                };
+                let mut deliver_at = |to: usize| {
+                    let delay = adversary.message_delay(&view, from, ProcId::new(to));
+                    assert!(delay >= 1, "message delays are at least one time unit");
+                    now.saturating_add(delay)
+                };
+                // A full broadcast charges `p − 1` messages and stores the
+                // payload in the broadcast calendar.
+                let recipients = match (outcome.targets, delivery) {
+                    (None, _) if p == 1 => 0,
+                    // One delay per broadcast (the adversary promised it
+                    // is recipient-oblivious), merged into its instant's
+                    // union.
+                    (None, Delivery::UniformBroadcast) => {
+                        let at = deliver_at((pid + 1) % p);
+                        arena.mailboxes.broadcast_uniform(from, at, &bits);
+                        p - 1
                     }
-                    Some(targets) => {
-                        // Multicast (gossip): recipient sets are partial,
-                        // so delivery is always materialized exactly.
-                        let recipients = targets
-                            .iter()
-                            .filter(|to| to.index() != pid && to.index() < p)
-                            .count();
-                        messages += recipients as u64;
-                        if R::ENABLED {
-                            rec.record(TraceEvent::Send {
-                                now,
-                                from,
-                                recipients,
-                            });
-                        }
+                    (None, Delivery::PerRecipient) => {
+                        arena
+                            .mailboxes
+                            .broadcast_per_recipient(from, &bits, deliver_at);
+                        p - 1
+                    }
+                    // Multicast (gossip): recipient sets are partial, so
+                    // delivery is always materialized exactly.
+                    (Some(targets), _) => {
+                        let mut recipients = 0;
                         for to in targets
                             .into_iter()
                             .map(ProcId::index)
                             .filter(|&to| to != pid && to < p)
                         {
-                            let view = SimView {
-                                now,
-                                processors: p,
-                                tasks: t,
-                                tasks_done: &arena.tasks_done,
-                            };
-                            let delay = adversary.message_delay(&view, from, ProcId::new(to));
-                            assert!(delay >= 1, "message delays are at least one time unit");
-                            arena.mailboxes.push(
-                                to,
-                                now.saturating_add(delay),
-                                Message::new(from, Arc::clone(&bits)),
-                            );
+                            let at = deliver_at(to);
+                            arena
+                                .mailboxes
+                                .push(to, at, Message::new(from, Arc::clone(&bits)));
+                            recipients += 1;
                         }
+                        recipients
                     }
+                };
+                messages += recipients as u64;
+                if R::ENABLED {
+                    rec.record(TraceEvent::Send {
+                        now,
+                        from,
+                        recipients,
+                    });
                 }
             }
             if informed.is_none() && procs[pid].knows_all_done() {
@@ -736,85 +683,111 @@ mod tests {
         assert!(slow.work > fast.work, "delay inflates charged work");
     }
 
+    /// Proc 0 performs the single task at tick 1 and sends it, by
+    /// broadcast or by multicast to everyone; the others know completion
+    /// once they hear of it.
+    #[derive(Clone)]
+    struct LateTeller {
+        pid: ProcId,
+        steps: u64,
+        multicast: bool,
+        heard: bool,
+    }
+
+    impl DoAllProcess for LateTeller {
+        fn pid(&self) -> ProcId {
+            self.pid
+        }
+        fn step(&mut self, inbox: &[Message]) -> StepOutcome {
+            self.steps += 1;
+            self.heard |= !inbox.is_empty();
+            if (self.pid.index(), self.steps) != (0, 2) {
+                return StepOutcome::internal();
+            }
+            let mut bits = BitSet::new(1);
+            bits.insert(0);
+            if self.multicast {
+                let everyone = (1..3).map(ProcId::new).collect();
+                StepOutcome::perform_and_multicast(TaskId::new(0), bits, everyone)
+            } else {
+                StepOutcome::perform_and_broadcast(TaskId::new(0), bits)
+            }
+        }
+        fn knows_all_done(&self) -> bool {
+            self.heard
+        }
+        fn clone_box(&self) -> Box<dyn DoAllProcess> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Every message gets the same delay, under the given delivery.
+    struct Delay(u64, Delivery);
+
+    impl Adversary for Delay {
+        fn message_delay(&mut self, _: &SimView<'_>, _: ProcId, _: ProcId) -> u64 {
+            self.0
+        }
+        fn delivery(&self) -> Delivery {
+            self.1
+        }
+    }
+
+    /// The uniform, per-recipient and multicast fan-outs.
+    const FAN_OUTS: [(Delivery, bool); 3] = [
+        (Delivery::UniformBroadcast, false),
+        (Delivery::PerRecipient, false),
+        (Delivery::PerRecipient, true),
+    ];
+
+    /// Three [`LateTeller`]s under [`Delay`] for at most 20 ticks.
+    fn late_teller_run(delivery: Delivery, multicast: bool, delay: u64) -> RunReport {
+        let procs = (0..3)
+            .map(|i| {
+                Box::new(LateTeller {
+                    pid: ProcId::new(i),
+                    steps: 0,
+                    multicast,
+                    heard: false,
+                }) as Box<dyn DoAllProcess>
+            })
+            .collect();
+        Simulation::builder(Instance::new(3, 1).unwrap())
+            .procs(procs)
+            .adversary(Box::new(Delay(delay, delivery)))
+            .max_ticks(20)
+            .build()
+            .run()
+    }
+
     #[test]
     fn unrepresentable_delivery_instants_are_never_due() {
-        /// Proc 0 performs the single task at tick 1 and sends it, by
-        /// broadcast or by multicast to everyone; the others know
-        /// completion once they hear of it.
-        #[derive(Clone)]
-        struct LateTeller {
-            pid: ProcId,
-            steps: u64,
-            multicast: bool,
-            heard: bool,
-        }
-        impl DoAllProcess for LateTeller {
-            fn pid(&self) -> ProcId {
-                self.pid
-            }
-            fn step(&mut self, inbox: &[Message]) -> StepOutcome {
-                self.steps += 1;
-                self.heard |= !inbox.is_empty();
-                if (self.pid.index(), self.steps) != (0, 2) {
-                    return StepOutcome::internal();
-                }
-                let mut bits = BitSet::new(1);
-                bits.insert(0);
-                if self.multicast {
-                    let everyone = (1..3).map(ProcId::new).collect();
-                    StepOutcome::perform_and_multicast(TaskId::new(0), bits, everyone)
-                } else {
-                    StepOutcome::perform_and_broadcast(TaskId::new(0), bits)
-                }
-            }
-            fn knows_all_done(&self) -> bool {
-                self.heard
-            }
-            fn clone_box(&self) -> Box<dyn DoAllProcess> {
-                Box::new(self.clone())
-            }
-        }
-        struct Delay(u64, Delivery);
-        impl Adversary for Delay {
-            fn message_delay(&mut self, _: &SimView<'_>, _: ProcId, _: ProcId) -> u64 {
-                self.0
-            }
-            fn delivery(&self) -> Delivery {
-                self.1
-            }
-        }
-        let instance = Instance::new(3, 1).unwrap();
-        // The uniform, per-recipient and multicast fan-outs.
-        for (delivery, multicast) in [
-            (Delivery::UniformBroadcast, false),
-            (Delivery::PerRecipient, false),
-            (Delivery::PerRecipient, true),
-        ] {
-            let run = |delay| {
-                let procs = (0..3)
-                    .map(|i| {
-                        Box::new(LateTeller {
-                            pid: ProcId::new(i),
-                            steps: 0,
-                            multicast,
-                            heard: false,
-                        }) as Box<dyn DoAllProcess>
-                    })
-                    .collect();
-                Simulation::builder(instance)
-                    .procs(procs)
-                    .adversary(Box::new(Delay(delay, delivery)))
-                    .max_ticks(20)
-                    .build()
-                    .run()
-            };
+        for (delivery, multicast) in FAN_OUTS {
             // Sent at tick 1 with delay 2, heard at tick 3.
-            assert_eq!(run(2).sigma, Some(3), "{delivery:?} multicast={multicast}");
+            let run = late_teller_run(delivery, multicast, 2);
+            assert_eq!(run.sigma, Some(3), "{delivery:?} multicast={multicast}");
             // `1 + u64::MAX` saturates to an instant that never comes; it
             // must not wrap around to tick 0 and deliver at once.
-            let never = run(u64::MAX);
+            let never = late_teller_run(delivery, multicast, u64::MAX);
             assert_eq!(never.sigma, None, "{delivery:?} multicast={multicast}");
             assert_eq!((never.messages, never.work), (2, 60));
+        }
+    }
+
+    #[test]
+    fn zero_delays_are_refused_on_every_fan_out() {
+        for (delivery, multicast) in FAN_OUTS {
+            let payload = std::panic::catch_unwind(|| late_teller_run(delivery, multicast, 0))
+                .expect_err("a zero delay must abort the run");
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(
+                message,
+                Some("message delays are at least one time unit"),
+                "{delivery:?} multicast={multicast}"
+            );
         }
     }
 

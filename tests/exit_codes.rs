@@ -81,6 +81,26 @@ fn a_delay_of_u64_max_exits_0_and_delivers_nothing() {
 }
 
 #[test]
+fn a_one_job_instance_exits_0() {
+    // oblido-searched searches a list over min(p, t) = 1 jobs: the one
+    // permutation of [1]. The search used to refuse it and panic (101).
+    let out = doall(&[
+        "simulate",
+        "--algo",
+        "oblido-searched",
+        "-p",
+        "1",
+        "-t",
+        "5",
+        "-d",
+        "1",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("work: 5,"), "{stdout}");
+}
+
+#[test]
 fn an_algorithm_key_has_one_spelling() {
     for (bad, good) in [
         ("da:03", "da:3"),
