@@ -790,7 +790,7 @@ mod tests {
         assert_eq!(doc.get("clean"), Some(&Json::Bool(false)));
         assert_eq!(
             doc.get("summary").unwrap().get("drift"),
-            Some(&Json::Number(1.0))
+            Some(&Json::Number("1".to_string()))
         );
     }
 

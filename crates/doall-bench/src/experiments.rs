@@ -14,8 +14,17 @@
 //! buried in `assert!`s here, are now declarative `assert` lines in the
 //! scenario files — a violation names the exact offending cell instead
 //! of panicking the harness.
+//!
+//! Most hooks derive for any algorithm. Five read something only some
+//! algorithm keys carry, and [`DERIVE_HOOKS`] names that precondition
+//! next to each hook: `da_bound` and `da_epsilon` rebuild DA's schedules
+//! from the `q` of a `da:<q>` key; `dcont_lemma` and `dcont_list` rebuild
+//! the cell's own list, which only the [`SCHEDULE_KEYS`] have; and
+//! `contention_lemmas` takes those keys or `none` (Lemma 4.1's list
+//! search). [`crate::suite::load_file`] refuses a scenario whose grids
+//! name a key its hook cannot derive for, before any cell runs.
 
-use crate::grid::{schedules_for_algo, Cell, ALGO_NONE};
+use crate::grid::{schedules_for_algo, Cell, ALGO_NONE, SCHEDULE_KEYS};
 use doall_algorithms::Da;
 use doall_bounds::{da_epsilon, da_upper_bound, lower_bound_work, oblivious_work, pa_upper_bound};
 use doall_core::Instance;
@@ -29,6 +38,19 @@ pub const ROSTER: &[&str] = &["soloall", "da:2", "da:3", "paran1", "paran2", "pa
 /// A derived-metric hook: reads a cell's measured metrics from the map
 /// and inserts bounds/ratios next to them.
 pub type DeriveFn = fn(&Cell, &mut BTreeMap<String, f64>);
+
+/// The algorithm keys a derive hook can derive for: what it needs, as
+/// error text, and the test of a key.
+pub type AlgoNeeds = (&'static str, fn(&str) -> bool);
+
+const ANY_ALGO: AlgoNeeds = ("any algorithm", |_| true);
+const DA_KEY: AlgoNeeds = ("a da:<q> key", |key| key.starts_with("da:"));
+const SCHEDULE_KEY: AlgoNeeds = ("a schedule-carrying key (oblido*, padet*)", |key| {
+    SCHEDULE_KEYS.contains(&key)
+});
+const SCHEDULE_OR_NONE: AlgoNeeds = ("a schedule-carrying key (oblido*, padet*) or none", |key| {
+    key == ALGO_NONE || SCHEDULE_KEYS.contains(&key)
+});
 
 fn instance_of(cell: &Cell) -> Instance {
     Instance::new(cell.p, cell.t).expect("cells are validated before running")
@@ -66,7 +88,7 @@ fn d_contention_lemmas(cell: &Cell, m: &mut BTreeMap<String, f64>) {
         // very list it ran with. The inequality itself is a scenario
         // `assert primary <= cont` line, not a panic here.
         let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-            .expect("oblido keys carry schedules");
+            .expect("DERIVE_HOOKS admits schedule keys only");
         let cont = d_contention_exact(sched.as_slice(), 1) as f64;
         m.insert("cont".to_string(), cont);
         m.insert("total_nn".to_string(), (n * n) as f64);
@@ -89,7 +111,7 @@ fn da_q_of(cell: &Cell) -> usize {
     cell.algo
         .strip_prefix("da:")
         .and_then(|q| q.parse().ok())
-        .expect("DA experiments use da:<q> keys")
+        .expect("DERIVE_HOOKS admits da:<q> keys only")
 }
 
 fn da_eps_of(cell: &Cell, m: &mut BTreeMap<String, f64>) -> f64 {
@@ -137,7 +159,7 @@ fn d_dcont_lemma(cell: &Cell, m: &mut BTreeMap<String, f64>) {
     // completion) is a scenario `assert work <= dcont + p when
     // dcont_exact == 1` line.
     let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-        .expect("padet carries schedules");
+        .expect("DERIVE_HOOKS admits schedule keys only");
     let dc = d_contention_of_list(sched.as_slice(), cell.d as usize);
     m.insert("dcont".to_string(), dc.value as f64);
     m.insert("dcont_exact".to_string(), f64::from(u8::from(dc.exact)));
@@ -162,26 +184,27 @@ fn d_msgs_over_work(cell: &Cell, m: &mut BTreeMap<String, f64>) {
 
 fn d_dcont_list(cell: &Cell, m: &mut BTreeMap<String, f64>) {
     let sched = schedules_for_algo(&cell.algo, instance_of(cell), cell.run_seed(0))
-        .expect("structured-schedule keys carry schedules");
+        .expect("DERIVE_HOOKS admits schedule keys only");
     let dc = d_contention_of_list(sched.as_slice(), cell.d as usize);
     m.insert("dcont".to_string(), dc.value as f64);
     ratio_quadratic(cell, m);
 }
 
 /// Every derived-metric hook a scenario file may name with
-/// `derive = <name>`, sorted by name.
-pub const DERIVE_HOOKS: &[(&str, DeriveFn)] = &[
-    ("contention_lemmas", d_contention_lemmas),
-    ("da_bound", d_da_bound),
-    ("da_epsilon", d_da_epsilon),
-    ("dcont_lemma", d_dcont_lemma),
-    ("dcont_list", d_dcont_list),
-    ("dcont_threshold", d_dcont_threshold),
-    ("lower_bound", d_lower_bound),
-    ("msgs_over_p_work", msgs_over_p_work),
-    ("msgs_over_work", d_msgs_over_work),
-    ("pa_bound", d_pa_bound),
-    ("ratio_quadratic", ratio_quadratic),
+/// `derive = <name>`, sorted by name, with the algorithm keys it can
+/// derive for.
+pub const DERIVE_HOOKS: &[(&str, DeriveFn, AlgoNeeds)] = &[
+    ("contention_lemmas", d_contention_lemmas, SCHEDULE_OR_NONE),
+    ("da_bound", d_da_bound, DA_KEY),
+    ("da_epsilon", d_da_epsilon, DA_KEY),
+    ("dcont_lemma", d_dcont_lemma, SCHEDULE_KEY),
+    ("dcont_list", d_dcont_list, SCHEDULE_KEY),
+    ("dcont_threshold", d_dcont_threshold, ANY_ALGO),
+    ("lower_bound", d_lower_bound, ANY_ALGO),
+    ("msgs_over_p_work", msgs_over_p_work, ANY_ALGO),
+    ("msgs_over_work", d_msgs_over_work, ANY_ALGO),
+    ("pa_bound", d_pa_bound, ANY_ALGO),
+    ("ratio_quadratic", ratio_quadratic, ANY_ALGO),
 ];
 
 /// Resolves a scenario's `derive = <name>` hook.
@@ -189,8 +212,8 @@ pub const DERIVE_HOOKS: &[(&str, DeriveFn)] = &[
 pub fn derive_by_name(name: &str) -> Option<DeriveFn> {
     DERIVE_HOOKS
         .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, f)| f)
+        .find(|(n, ..)| *n == name)
+        .map(|&(_, f, _)| f)
 }
 
 /// The committed scenario directory: `./scenarios` when invoked from the
@@ -342,12 +365,12 @@ mod tests {
 
     #[test]
     fn derive_hooks_resolve_by_name() {
-        for (name, _) in DERIVE_HOOKS {
+        for (name, ..) in DERIVE_HOOKS {
             assert!(derive_by_name(name).is_some(), "{name}");
         }
         assert!(derive_by_name("frobnicate").is_none());
         // The table is sorted so the docs render predictably.
-        let names: Vec<&str> = DERIVE_HOOKS.iter().map(|(n, _)| *n).collect();
+        let names: Vec<&str> = DERIVE_HOOKS.iter().map(|(n, ..)| *n).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);

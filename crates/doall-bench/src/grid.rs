@@ -711,9 +711,22 @@ pub fn validate_algo_key(key: &str) -> Result<(), GridError> {
     }
 }
 
+/// The algorithm keys whose processors follow a schedule list: the keys
+/// [`schedules_for_algo`] builds a list for, and the ones the derive
+/// hooks that read a cell's own list accept.
+pub const SCHEDULE_KEYS: [&str; 6] = [
+    "oblido",
+    "oblido-searched",
+    "oblido-worst",
+    "padet",
+    "padet-rot",
+    "padet-affine",
+];
+
 /// Builds the schedule list an algorithm key implies, when it has one —
 /// used by experiments whose derived metrics (contention, `(d)`-Cont)
-/// refer to the very list the algorithm ran with.
+/// refer to the very list the algorithm ran with. `Some` exactly for
+/// [`SCHEDULE_KEYS`] (`padet-affine` over a prime job count only).
 #[must_use]
 pub fn schedules_for_algo(key: &str, instance: Instance, seed: u64) -> Option<Schedules> {
     let n = instance.units();
@@ -1275,6 +1288,21 @@ mod tests {
             for key in KEYS_FOR_ANY_SHAPE {
                 build_and_run(key, p, t);
             }
+        }
+    }
+
+    #[test]
+    fn schedule_keys_are_the_keys_with_schedules() {
+        let instance = Instance::new(5, 13).unwrap();
+        for key in KEYS_FOR_ANY_SHAPE
+            .into_iter()
+            .chain(["padet-affine", ALGO_NONE])
+        {
+            assert_eq!(
+                schedules_for_algo(key, instance, 1).is_some(),
+                SCHEDULE_KEYS.contains(&key),
+                "{key}"
+            );
         }
     }
 

@@ -269,8 +269,10 @@ impl ResultSet {
 //
 // Just enough JSON for the sweep schema (and strict about it): objects,
 // arrays, strings with the standard escapes (including `\uXXXX` surrogate
-// pairs), numbers via `f64::from_str` (round-trips everything our writer
-// emits), `true`/`false`/`null`. No serde, no vendored crate.
+// pairs), numbers checked by `f64::from_str` and kept as their text (so
+// an integer reads back as an exact `u64`, and a metric as the `f64`
+// the writer printed), `true`/`false`/`null`. No serde, no vendored
+// crate.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -279,8 +281,11 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
-    Number(f64),
+    /// Any JSON number, as its text (which reads as an `f64`). The
+    /// schema reader takes `p`, `t`, `d`, `seeds` and `schema_version`
+    /// as exact `u64`s (a token of digits only that fits one), and
+    /// metrics as `f64`s.
+    Number(String),
     /// A string.
     String(String),
     /// An array.
@@ -529,7 +534,7 @@ impl<'a> Parser<'a> {
         }
         let s = &self.text[start..self.pos];
         s.parse::<f64>()
-            .map(Json::Number)
+            .map(|_| Json::Number(s.to_string()))
             .map_err(|_| err(format!("JSON error at byte {start}: bad number `{s}`")))
     }
 }
@@ -642,19 +647,13 @@ fn field<'a>(obj: &'a Json, key: &str, what: &str) -> Result<&'a Json, ResultSet
         .ok_or_else(|| err(format!("{what}: missing `{key}`")))
 }
 
+/// Reads a number token with no sign, fraction or exponent exactly.
 fn as_u64(value: &Json, what: &str) -> Result<u64, ResultSetError> {
     match value {
-        Json::Number(v) if v.fract() == 0.0 && *v >= 0.0 && *v <= 2f64.powi(53) =>
-        {
-            #[allow(
-                clippy::cast_possible_truncation,
-                clippy::cast_sign_loss,
-                reason = "the guard admits only non-negative integers up to 2^53"
-            )]
-            Ok(*v as u64)
-        }
-        _ => Err(err(format!("{what}: expected a non-negative integer"))),
+        Json::Number(text) => text.parse().ok(),
+        _ => None,
     }
+    .ok_or_else(|| err(format!("{what}: expected a non-negative integer")))
 }
 
 fn as_str<'a>(value: &'a Json, what: &str) -> Result<&'a str, ResultSetError> {
@@ -696,12 +695,11 @@ fn record_from_json(
     let mut metrics = BTreeMap::new();
     for (name, value) in metrics_obj {
         let v = match value {
-            Json::Number(v) => *v,
-            Json::Null => f64::NAN,
-            _ => {
-                return Err(err(format!("{what}: metric `{name}` is not a number")));
-            }
-        };
+            Json::Number(text) => text.parse().ok(),
+            Json::Null => Some(f64::NAN),
+            _ => None,
+        }
+        .ok_or_else(|| err(format!("{what}: metric `{name}` is not a number")))?;
         metrics.insert(name.clone(), v);
     }
     Ok((key, metrics, raw_adversary))
@@ -903,9 +901,9 @@ mod tests {
             Json::Array(items) => items,
             other => panic!("{other:?}"),
         };
-        assert_eq!(a[0], Json::Number(1.0));
-        assert_eq!(a[1], Json::Number(-2.5));
-        assert_eq!(a[2], Json::Number(1000.0));
+        assert_eq!(a[0], Json::Number("1".to_string()));
+        assert_eq!(a[1], Json::Number("-2.5".to_string()));
+        assert_eq!(a[2], Json::Number("1e3".to_string()));
         assert_eq!(a[3], Json::Null);
         assert_eq!(a[4], Json::Bool(true));
         assert_eq!(a[5], Json::Bool(false));
@@ -972,6 +970,32 @@ mod tests {
         assert_eq!(parsed.schema_version, u64::from(SCHEMA_VERSION));
         assert_eq!(parsed.mode, "smoke");
         assert_eq!(parsed.cells.len(), 2);
+    }
+
+    #[test]
+    fn every_integer_the_writer_writes_reads_back() {
+        // d = u64::MAX is a legal cell since delivery instants saturate;
+        // an f64 reading of it rounds to 2^64, which is no u64.
+        let mut big = record("sweep", "soloall", u64::MAX, 4.0);
+        big.metrics.insert("max_work".to_string(), 2f64.powi(64));
+        let set = ResultSet {
+            mode: "custom".to_string(),
+            records: vec![big.clone()],
+        };
+        let json = set.to_json();
+        assert!(json.contains("\"d\": 18446744073709551615,"), "{json}");
+        let parsed = parse_result_set(&json).unwrap();
+        assert_eq!(parsed, BaselineSet::of(&set));
+        let (key, metrics) = parsed.cells.iter().next().unwrap();
+        assert_eq!(key.d, u64::MAX);
+        assert_eq!(metrics, &big.metrics, "metrics read as the f64s written");
+        // Signs, fractions and exponents are not exact integers; 2^64 and
+        // up do not fit.
+        for d in ["-1", "1.0", "1e3", "18446744073709551616"] {
+            let doc = json.replace("18446744073709551615", d);
+            let e = parse_result_set(&doc).unwrap_err().to_string();
+            assert!(e.contains("expected a non-negative integer"), "{d}: {e}");
+        }
     }
 
     #[test]

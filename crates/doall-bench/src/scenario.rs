@@ -46,6 +46,13 @@
 //!   zero follows IEEE (and a NaN comparison fails the assertion).
 //!   Expressions nest at most [`MAX_EXPR_DEPTH`] levels deep.
 //!
+//! The test and the `when` guard are both a [`Condition`], and one
+//! evaluator serves both scopes: the scope only decides how a leaf
+//! resolves (a cell's parameter or metric, or an aggregate over the
+//! selected cells). The parser knows the scope once it has read `agg`,
+//! so a bare metric under `agg`, `min/max/mean/sum` outside it, and a
+//! `when` guard on an `agg` line are refused while parsing.
+//!
 //! Parsing and rendering are exact inverses (`parse ∘ render ≡ id`,
 //! property-tested), and malformed lines report their line number.
 
@@ -296,85 +303,18 @@ impl Expr {
         }
     }
 
-    /// Evaluates the expression on one cell's post-derive metric map.
-    /// Returns `None` if a referenced metric is absent from the cell.
-    #[must_use]
-    pub fn eval_cell(&self, cell: &Cell, metrics: &BTreeMap<String, f64>) -> Option<f64> {
+    /// Evaluates the expression, resolving each `Var` and `Agg` leaf
+    /// through the scope's `leaf` lookup. `None` if a leaf resolves to
+    /// nothing (a missing metric, or a leaf of the other scope).
+    fn eval(&self, leaf: &impl Fn(&Expr) -> Option<f64>) -> Option<f64> {
         match self {
             Expr::Num(v) => Some(*v),
-            #[allow(
-                clippy::cast_precision_loss,
-                reason = "cell parameters are far below 2^53, so they convert exactly"
-            )]
-            Expr::Var(name) => match name.as_str() {
-                "p" => Some(cell.p as f64),
-                "t" => Some(cell.t as f64),
-                "d" => Some(cell.d as f64),
-                "seeds" => Some(cell.seeds as f64),
-                other => metrics.get(alias(other)).copied(),
-            },
-            Expr::Ratio(a, b) | Expr::Div(a, b) => {
-                Some(a.eval_cell(cell, metrics)? / b.eval_cell(cell, metrics)?)
-            }
-            Expr::Agg(..) => None,
-            Expr::Add(a, b) => Some(a.eval_cell(cell, metrics)? + b.eval_cell(cell, metrics)?),
-            Expr::Sub(a, b) => Some(a.eval_cell(cell, metrics)? - b.eval_cell(cell, metrics)?),
-            Expr::Mul(a, b) => Some(a.eval_cell(cell, metrics)? * b.eval_cell(cell, metrics)?),
+            Expr::Var(_) | Expr::Agg(..) => leaf(self),
+            Expr::Ratio(a, b) | Expr::Div(a, b) => Some(a.eval(leaf)? / b.eval(leaf)?),
+            Expr::Add(a, b) => Some(a.eval(leaf)? + b.eval(leaf)?),
+            Expr::Sub(a, b) => Some(a.eval(leaf)? - b.eval(leaf)?),
+            Expr::Mul(a, b) => Some(a.eval(leaf)? * b.eval(leaf)?),
         }
-    }
-
-    /// Evaluates the expression in aggregate scope over the metric maps
-    /// of all selected cells. Returns `None` if any aggregated metric
-    /// has no samples.
-    #[must_use]
-    pub fn eval_agg(&self, rows: &[(&Cell, &BTreeMap<String, f64>)]) -> Option<f64> {
-        match self {
-            Expr::Num(v) => Some(*v),
-            Expr::Var(_) => None,
-            Expr::Agg(f, metric) => {
-                let key = alias(metric);
-                let samples: Vec<f64> = rows
-                    .iter()
-                    .filter_map(|(_, m)| m.get(key).copied())
-                    .collect();
-                if samples.is_empty() {
-                    None
-                } else {
-                    Some(f.apply(&samples))
-                }
-            }
-            Expr::Ratio(a, b) | Expr::Div(a, b) => Some(a.eval_agg(rows)? / b.eval_agg(rows)?),
-            Expr::Add(a, b) => Some(a.eval_agg(rows)? + b.eval_agg(rows)?),
-            Expr::Sub(a, b) => Some(a.eval_agg(rows)? - b.eval_agg(rows)?),
-            Expr::Mul(a, b) => Some(a.eval_agg(rows)? * b.eval_agg(rows)?),
-        }
-    }
-
-    fn visit(&self, f: &mut impl FnMut(&Expr)) {
-        f(self);
-        match self {
-            Expr::Num(_) | Expr::Var(_) | Expr::Agg(..) => {}
-            Expr::Ratio(a, b)
-            | Expr::Add(a, b)
-            | Expr::Sub(a, b)
-            | Expr::Mul(a, b)
-            | Expr::Div(a, b) => {
-                a.visit(f);
-                b.visit(f);
-            }
-        }
-    }
-
-    fn contains_agg(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |e| found |= matches!(e, Expr::Agg(..)));
-        found
-    }
-
-    fn contains_var(&self) -> bool {
-        let mut found = false;
-        self.visit(&mut |e| found |= matches!(e, Expr::Var(_)));
-        found
     }
 }
 
@@ -386,17 +326,39 @@ impl fmt::Display for Expr {
     }
 }
 
-/// The optional `when LHS CMP RHS` guard of a per-cell assertion: cells
-/// where the guard is false (or references a missing metric) are
-/// skipped.
+/// The outcome of checking a comparison: `Ok(())` if it holds,
+/// `Err((lhs, rhs))` with the observed operand values if not.
+pub type Verdict = Result<(), (f64, f64)>;
+
+/// A comparison `LHS CMP RHS`: an assertion's test, and its optional
+/// `when` guard.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Guard {
-    /// Left-hand side of the guard comparison.
+pub struct Condition {
+    /// Left-hand side.
     pub lhs: Expr,
-    /// Guard comparison operator.
+    /// Comparison operator.
     pub cmp: Cmp,
-    /// Right-hand side of the guard comparison.
+    /// Right-hand side.
     pub rhs: Expr,
+}
+
+impl Condition {
+    /// Evaluates both sides through `leaf` and compares them; `None` if
+    /// either side has no value.
+    fn check(&self, leaf: &impl Fn(&Expr) -> Option<f64>) -> Option<Verdict> {
+        let (lhs, rhs) = (self.lhs.eval(leaf)?, self.rhs.eval(leaf)?);
+        Some(if self.cmp.holds(lhs, rhs) {
+            Ok(())
+        } else {
+            Err((lhs, rhs))
+        })
+    }
+}
+
+impl fmt::Display for Condition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} {}", self.lhs, self.cmp, self.rhs)
+    }
 }
 
 /// One `assert …` line of a scenario.
@@ -406,14 +368,11 @@ pub struct Assertion {
     pub aggregate: bool,
     /// `[key=value,…]` cell selector (conjunctive; empty = all cells).
     pub filters: Vec<(String, String)>,
-    /// Left-hand side of the comparison.
-    pub lhs: Expr,
-    /// Comparison operator.
-    pub cmp: Cmp,
-    /// Right-hand side of the comparison.
-    pub rhs: Expr,
-    /// Optional `when` guard (per-cell scope only).
-    pub guard: Option<Guard>,
+    /// The comparison that must hold.
+    pub test: Condition,
+    /// Optional `when` guard (per-cell scope only): a cell where it is
+    /// false, or has no value, is skipped.
+    pub guard: Option<Condition>,
 }
 
 /// Filter keys a `[key=value]` selector may match on.
@@ -429,7 +388,7 @@ impl Assertion {
     pub fn parse(line: &str) -> Result<Self, String> {
         let mut p = Tokens::new(line)?;
         p.expect_ident("assert")?;
-        let aggregate = p.eat_ident("agg");
+        p.agg = p.eat_ident("agg");
         let mut filters = Vec::new();
         if p.eat(&Tok::LBracket) {
             loop {
@@ -449,63 +408,22 @@ impl Assertion {
             }
             p.expect(&Tok::RBracket, "]")?;
         }
-        let lhs = p.expr()?;
-        let cmp = p.cmp()?;
-        let rhs = p.expr()?;
+        let test = p.condition()?;
         let guard = if p.eat_ident("when") {
-            let glhs = p.expr()?;
-            let gcmp = p.cmp()?;
-            let grhs = p.expr()?;
-            Some(Guard {
-                lhs: glhs,
-                cmp: gcmp,
-                rhs: grhs,
-            })
+            if p.agg {
+                return Err("`when` guards apply per cell; drop `agg` or the guard".to_string());
+            }
+            Some(p.condition()?)
         } else {
             None
         };
         p.finish()?;
-        let a = Assertion {
-            aggregate,
+        Ok(Assertion {
+            aggregate: p.agg,
             filters,
-            lhs,
-            cmp,
-            rhs,
+            test,
             guard,
-        };
-        a.validate()?;
-        Ok(a)
-    }
-
-    fn validate(&self) -> Result<(), String> {
-        let exprs: Vec<&Expr> = [Some(&self.lhs), Some(&self.rhs)]
-            .into_iter()
-            .chain(self.guard.iter().flat_map(|g| [Some(&g.lhs), Some(&g.rhs)]))
-            .flatten()
-            .collect();
-        if self.aggregate {
-            if self.guard.is_some() {
-                return Err("`when` guards apply per cell; drop `agg` or the guard".to_string());
-            }
-            for e in &exprs {
-                if e.contains_var() {
-                    return Err(format!(
-                        "aggregate assertions must wrap metrics in min/max/mean/sum: `{e}`"
-                    ));
-                }
-            }
-        } else {
-            for e in &exprs {
-                if e.contains_agg() {
-                    return Err(format!(
-                        "min/max/mean/sum need the `agg` scope: `assert agg {} {} {}`",
-                        self.lhs, self.cmp, self.rhs
-                    ));
-                }
-                let _ = e;
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Whether the selector matches this cell.
@@ -525,56 +443,52 @@ impl Assertion {
     }
 
     /// Checks the assertion against one cell. `None`: the cell is
-    /// skipped (filtered out, missing metric, or false guard);
-    /// `Some(Ok(()))`: the comparison holds; `Some(Err((lhs, rhs)))`:
-    /// it is violated, with the observed operand values.
+    /// skipped (filtered out, missing metric, false guard, or an
+    /// aggregate assertion); `Some(verdict)` otherwise.
     #[must_use]
-    pub fn check_cell(
-        &self,
-        cell: &Cell,
-        metrics: &BTreeMap<String, f64>,
-    ) -> Option<Result<(), (f64, f64)>> {
+    #[allow(
+        clippy::cast_precision_loss,
+        reason = "cell parameters below 2^53 (every committed grid's) convert exactly"
+    )]
+    pub fn check_cell(&self, cell: &Cell, metrics: &BTreeMap<String, f64>) -> Option<Verdict> {
         if self.aggregate || !self.selects(cell) {
             return None;
         }
-        if let Some(g) = &self.guard {
-            let glhs = g.lhs.eval_cell(cell, metrics)?;
-            let grhs = g.rhs.eval_cell(cell, metrics)?;
-            if !g.cmp.holds(glhs, grhs) {
-                return None;
-            }
+        let leaf = |leaf: &Expr| match leaf {
+            Expr::Var(name) => match name.as_str() {
+                "p" => Some(cell.p as f64),
+                "t" => Some(cell.t as f64),
+                "d" => Some(cell.d as f64),
+                "seeds" => Some(cell.seeds as f64),
+                other => metrics.get(alias(other)).copied(),
+            },
+            _ => None,
+        };
+        if let Some(guard) = &self.guard {
+            guard.check(&leaf)?.ok()?;
         }
-        let lhs = self.lhs.eval_cell(cell, metrics)?;
-        let rhs = self.rhs.eval_cell(cell, metrics)?;
-        Some(if self.cmp.holds(lhs, rhs) {
-            Ok(())
-        } else {
-            Err((lhs, rhs))
-        })
+        self.test.check(&leaf)
     }
 
     /// Checks an aggregate assertion over all cells of a scenario.
     /// Semantics mirror [`Assertion::check_cell`], with `None` meaning
-    /// no selected cell carried the aggregated metrics.
+    /// no selected cell carried an aggregated metric (or a per-cell
+    /// assertion).
     #[must_use]
-    pub fn check_agg(
-        &self,
-        rows: &[(&Cell, &BTreeMap<String, f64>)],
-    ) -> Option<Result<(), (f64, f64)>> {
+    pub fn check_agg(&self, rows: &[(&Cell, &BTreeMap<String, f64>)]) -> Option<Verdict> {
         if !self.aggregate {
             return None;
         }
-        let selected: Vec<(&Cell, &BTreeMap<String, f64>)> = rows
-            .iter()
-            .filter(|(cell, _)| self.selects(cell))
-            .copied()
-            .collect();
-        let lhs = self.lhs.eval_agg(&selected)?;
-        let rhs = self.rhs.eval_agg(&selected)?;
-        Some(if self.cmp.holds(lhs, rhs) {
-            Ok(())
-        } else {
-            Err((lhs, rhs))
+        self.test.check(&|leaf| match leaf {
+            Expr::Agg(f, metric) => {
+                let samples: Vec<f64> = rows
+                    .iter()
+                    .filter(|(cell, _)| self.selects(cell))
+                    .filter_map(|(_, m)| m.get(alias(metric)).copied())
+                    .collect();
+                (!samples.is_empty()).then(|| f.apply(&samples))
+            }
+            _ => None,
         })
     }
 }
@@ -593,9 +507,9 @@ impl fmt::Display for Assertion {
                 .collect();
             write!(f, "[{}] ", parts.join(","))?;
         }
-        write!(f, "{} {} {}", self.lhs, self.cmp, self.rhs)?;
-        if let Some(g) = &self.guard {
-            write!(f, " when {} {} {}", g.lhs, g.cmp, g.rhs)?;
+        write!(f, "{}", self.test)?;
+        if let Some(guard) = &self.guard {
+            write!(f, " when {guard}")?;
         }
         Ok(())
     }
@@ -631,6 +545,8 @@ struct Tokens {
     pos: usize,
     /// Expression levels currently open (see [`MAX_EXPR_DEPTH`]).
     depth: usize,
+    /// The line has read `agg`: metrics must be aggregated.
+    agg: bool,
 }
 
 impl Tokens {
@@ -720,6 +636,7 @@ impl Tokens {
             toks,
             pos: 0,
             depth: 0,
+            agg: false,
         })
     }
 
@@ -794,6 +711,14 @@ impl Tokens {
         }
     }
 
+    fn condition(&mut self) -> Result<Condition, String> {
+        Ok(Condition {
+            lhs: self.expr()?,
+            cmp: self.cmp()?,
+            rhs: self.expr()?,
+        })
+    }
+
     /// Opens one expression level, refusing to go past
     /// [`MAX_EXPR_DEPTH`]. Callers restore `depth` once their subtree is
     /// built.
@@ -860,6 +785,9 @@ impl Tokens {
                         self.expect(&Tok::RParen, ")")?;
                         Ok(Expr::Ratio(Box::new(a), Box::new(b)))
                     } else if let Some(f) = AggFn::parse(&name) {
+                        if !self.agg {
+                            return Err("min/max/mean/sum need the `agg` scope".to_string());
+                        }
                         let metric = self.ident("a metric name")?;
                         self.expect(&Tok::RParen, ")")?;
                         Ok(Expr::Agg(f, metric))
@@ -868,6 +796,10 @@ impl Tokens {
                             "unknown function `{name}` (expected ratio, min, max, mean, or sum)"
                         ))
                     }
+                } else if self.agg {
+                    Err(format!(
+                        "aggregate assertions must wrap metrics in min/max/mean/sum: `{name}`"
+                    ))
                 } else {
                     Ok(Expr::Var(name))
                 }
@@ -1182,6 +1114,11 @@ assert agg max(ratio_quadratic) < 10
                 "assert agg max(work) >= 1 when work >= 1",
                 "guards apply per cell",
             ),
+            (
+                "assert work >= 1 when max(work) > 0",
+                "need the `agg` scope",
+            ),
+            ("assert agg max(work) / t >= 1", "wrap metrics"),
             ("assert work ! t", "only valid as `!=`"),
             ("assert 1.2.3 >= t", "not a number"),
         ] {
@@ -1239,6 +1176,43 @@ assert agg max(ratio_quadratic) < 10
             ),
             Some(Err((0.0, 1.0)))
         );
+    }
+
+    #[test]
+    fn leaves_of_the_other_scope_have_no_value() {
+        // The parser refuses these; hand-built ones are skipped.
+        let c = cell("x", 2, 8, 1);
+        let m = metrics(&[("mean_work", 10.0)]);
+        let test = |lhs: Expr| Condition {
+            lhs,
+            cmp: Cmp::Ge,
+            rhs: Expr::Num(1.0),
+        };
+        let per_cell = Assertion {
+            aggregate: false,
+            filters: Vec::new(),
+            test: test(Expr::Agg(AggFn::Max, "work".to_string())),
+            guard: None,
+        };
+        assert_eq!(per_cell.check_cell(&c, &m), None);
+        let aggregate = Assertion {
+            aggregate: true,
+            filters: Vec::new(),
+            test: test(Expr::Var("work".to_string())),
+            guard: None,
+        };
+        assert_eq!(aggregate.check_agg(&[(&c, &m)]), None);
+        // Their own-scope twins do evaluate.
+        let per_cell = Assertion {
+            test: test(Expr::Var("work".to_string())),
+            ..per_cell
+        };
+        assert_eq!(per_cell.check_cell(&c, &m), Some(Ok(())));
+        let aggregate = Assertion {
+            test: test(Expr::Agg(AggFn::Max, "work".to_string())),
+            ..aggregate
+        };
+        assert_eq!(aggregate.check_agg(&[(&c, &m)]), Some(Ok(())));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! shard sizes, and directory-listing order.
 
 use crate::compare::Comparison;
-use crate::experiments::derive_by_name;
+use crate::experiments::{derive_by_name, DERIVE_HOOKS};
 use crate::grid::Cell;
 use crate::resultset::{Record, ResultSet};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, Verdict};
 use crate::sweep::{default_threads, run_cells, SweepConfig};
 use crate::Table;
 use doall_sim::DEFAULT_MAX_TICKS;
@@ -71,7 +71,9 @@ pub fn discover(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(paths)
 }
 
-/// Parses one scenario file, checking its derive hook exists.
+/// Parses one scenario file, checking that its derive hook exists and
+/// can derive for every algorithm its grids name (see
+/// [`DERIVE_HOOKS`]), so a mismatch fails before any cell runs.
 ///
 /// # Errors
 ///
@@ -81,16 +83,19 @@ pub fn load_file(path: &Path) -> Result<Scenario, String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let scn = Scenario::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     if let Some(name) = &scn.derive {
-        if derive_by_name(name).is_none() {
+        let Some(&(_, _, (needs, accepts))) = DERIVE_HOOKS.iter().find(|(n, ..)| n == name) else {
             return Err(format!(
                 "{}: unknown derive hook `{name}` (see doall_bench::experiments::DERIVE_HOOKS)",
                 path.display()
             ));
+        };
+        let mut algos = scn.grids.iter().chain(&scn.smoke).flat_map(|g| &g.algos);
+        if let Some(algo) = algos.find(|algo| !accepts(algo)) {
+            return Err(format!(
+                "{}: derive hook `{name}` cannot derive for algorithm `{algo}`: it needs {needs}",
+                path.display()
+            ));
         }
-    }
-    for grid in scn.grids.iter().chain(scn.smoke.iter()) {
-        grid.validate()
-            .map_err(|e| format!("{}: invalid grid `{grid}`: {e}", path.display()))?;
     }
     Ok(scn)
 }
@@ -247,49 +252,39 @@ pub fn run_scenario(
     let rows: Vec<(&Cell, &std::collections::BTreeMap<String, f64>)> =
         records.iter().map(|r| (&r.cell, &r.metrics)).collect();
     for assertion in &scn.asserts {
-        let mut evaluated = 0usize;
-        if assertion.aggregate {
-            if let Some(result) = assertion.check_agg(&rows) {
-                evaluated += 1;
-                checks += 1;
-                if let Err((lhs, rhs)) = result {
-                    failures.push(AssertionFailure {
-                        scenario: scn.id.clone(),
-                        assertion: assertion.to_string(),
-                        kind: FailureKind::Violated {
-                            cell: None,
-                            lhs,
-                            rhs,
-                        },
-                    });
-                }
-            }
+        let verdicts: Vec<(Option<&Cell>, Verdict)> = if assertion.aggregate {
+            assertion
+                .check_agg(&rows)
+                .map(|v| (None, v))
+                .into_iter()
+                .collect()
         } else {
-            for (cell, metrics) in &rows {
-                if let Some(result) = assertion.check_cell(cell, metrics) {
-                    evaluated += 1;
-                    checks += 1;
-                    if let Err((lhs, rhs)) = result {
-                        failures.push(AssertionFailure {
-                            scenario: scn.id.clone(),
-                            assertion: assertion.to_string(),
-                            kind: FailureKind::Violated {
-                                cell: Some(cell_label(cell)),
-                                lhs,
-                                rhs,
-                            },
-                        });
-                    }
-                }
-            }
+            rows.iter()
+                .filter_map(|&(cell, metrics)| {
+                    Some((Some(cell), assertion.check_cell(cell, metrics)?))
+                })
+                .collect()
+        };
+        checks += verdicts.len();
+        let mut kinds: Vec<FailureKind> = verdicts
+            .iter()
+            .filter_map(|&(cell, verdict)| {
+                let (lhs, rhs) = verdict.err()?;
+                Some(FailureKind::Violated {
+                    cell: cell.map(cell_label),
+                    lhs,
+                    rhs,
+                })
+            })
+            .collect();
+        if verdicts.is_empty() {
+            kinds.push(FailureKind::NoMatch);
         }
-        if evaluated == 0 {
-            failures.push(AssertionFailure {
-                scenario: scn.id.clone(),
-                assertion: assertion.to_string(),
-                kind: FailureKind::NoMatch,
-            });
-        }
+        failures.extend(kinds.into_iter().map(|kind| AssertionFailure {
+            scenario: scn.id.clone(),
+            assertion: assertion.to_string(),
+            kind,
+        }));
     }
     let summary = ScenarioSummary {
         id: scn.id.clone(),
@@ -656,6 +651,42 @@ mod tests {
         for needle in ["## ", "Alpha", "beta setup", "beta notes", "threads"] {
             assert!(!report_text.contains(needle), "{report_text}");
         }
+    }
+
+    #[test]
+    fn derive_hooks_refuse_algorithms_they_cannot_derive_for() {
+        let dir = std::env::temp_dir().join(format!("doall_suite_needs_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("x.scn");
+        let scn = |hook: &str, grid: &str, smoke: &str| {
+            format!(
+                "id = x
+grid = algos={grid} advs=unit shapes=4x8 ds=1 seeds=1 seed=0
+                 smoke = algos={smoke} advs=unit shapes=4x8 ds=1 seeds=1 seed=0
+                 derive = {hook}
+assert t >= 1
+"
+            )
+        };
+        for (hook, good, bad) in [
+            ("da_bound", "da:3", "paran1"),
+            ("da_epsilon", "da:2", "padet"),
+            ("dcont_lemma", "padet", "none"),
+            ("dcont_list", "padet-rot", "da:3"),
+            ("contention_lemmas", "none,oblido", "da:3"),
+        ] {
+            std::fs::write(&path, scn(hook, good, good)).unwrap();
+            assert!(load_file(&path).is_ok(), "{hook} on {good}");
+            // A bad key in the full or in the smoke grid is refused.
+            for text in [scn(hook, bad, good), scn(hook, good, bad)] {
+                std::fs::write(&path, text).unwrap();
+                let e = load_file(&path).unwrap_err();
+                for needle in ["x.scn", &format!("hook `{hook}`"), &format!("`{bad}`")] {
+                    assert!(e.contains(needle), "{e}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -587,11 +587,7 @@ fn merge_cell(cell: &Cell, cfg: &SweepConfig, output: ShardOutput) -> CellMeasur
     }
     let ShardOutput { reports, probes } = output;
     assert_eq!(reports.len(), cell.seeds as usize, "all replicates merged");
-    let (crash_count, mean_crashes_fired) = if cell.effective_backend() == Backend::Threads {
-        threads_crash_stats(cell, cfg, &probes)
-    } else {
-        crash_stats(cell, cfg, &reports)
-    };
+    let (crash_count, mean_crashes_fired) = crash_stats(cell, cfg, &reports, &probes);
     let straggler_count = match cell.adversary {
         AdversarySpec::Straggler { pct, .. } => Some(
             crate::grid::straggler_flags(pct, cell.p)
@@ -649,58 +645,28 @@ fn merge_cell(cell: &Cell, cfg: &SweepConfig, output: ShardOutput) -> CellMeasur
 }
 
 /// For `crash:<pct>` cells: the scheduled crash count and the mean
-/// number of crashes that fired (crash tick ≤ σ) across the replicates;
-/// `(None, None)` for every other adversary.
+/// number of crashes that fired per replicate; `(None, None)` for every
+/// other adversary.
 ///
-/// The crash plan is deterministic in the cell's parameters and tick
-/// budget (see [`crate::grid::crash_plan`]), so it can be recomputed
-/// here from the completed reports instead of being threaded out of the
-/// adversary.
+/// Both backends schedule the deterministic [`crate::grid::crash_plan`]
+/// (ticks on the simulator, step budgets on threads), so the scheduled
+/// count is recomputed here. What fired differs: on the simulator a
+/// crash fired iff its tick is at most σ, recomputed from the completed
+/// reports; on threads each replicate's probe carries what its run
+/// observed, since a fast run can complete before a late budget is
+/// reached.
 ///
 /// # Panics
 ///
-/// Panics if crashes were scheduled but none fired in some replicate
-/// (for `t ≥ 2`, where at least the first crash provably lands before
-/// σ) — a "crash" cell that exercises no crashes would quietly measure
-/// the wrong scenario, which is exactly the bug this guards against.
+/// Panics if crashes were scheduled but none fired in some simulated
+/// replicate (for `t ≥ 2`, where at least the first crash provably
+/// lands before σ) — a "crash" cell that exercises no crashes would
+/// quietly measure the wrong scenario, which is exactly the bug this
+/// guards against.
 fn crash_stats(
     cell: &Cell,
     cfg: &SweepConfig,
     reports: &[doall_core::RunReport],
-) -> (Option<f64>, Option<f64>) {
-    let AdversarySpec::Crash { pct, stagger } = cell.adversary else {
-        return (None, None);
-    };
-    let plan = crate::grid::crash_plan(pct, stagger, cell.p, cell.t, cfg.max_ticks);
-    let scheduled = plan.iter().flatten().count();
-    let mut fired_total = 0usize;
-    for report in reports {
-        let sigma = report.sigma.expect("incomplete runs error out above");
-        let fired = plan.iter().flatten().filter(|&&at| at <= sigma).count();
-        assert!(
-            scheduled == 0 || cell.t < 2 || fired >= 1,
-            "crash cell exercised no crashes: {} p={} t={} scheduled={scheduled} σ={sigma}",
-            cell.adversary,
-            cell.p,
-            cell.t,
-        );
-        fired_total += fired;
-    }
-    (
-        Some(scheduled as f64),
-        Some(fired_total as f64 / reports.len() as f64),
-    )
-}
-
-/// [`crash_stats`] for `threads`-backend cells: the scheduled count is
-/// the same deterministic [`crate::grid::crash_plan`], but *fired* is
-/// what each replicate actually observed (a crashed worker stops exactly
-/// at its step budget, so firing is measured, not recomputed). No
-/// all-replicates-fired assertion here — on real threads a fast run can
-/// legitimately complete before a late budget is reached.
-fn threads_crash_stats(
-    cell: &Cell,
-    cfg: &SweepConfig,
     probes: &[ThreadsProbe],
 ) -> (Option<f64>, Option<f64>) {
     let AdversarySpec::Crash { pct, stagger } = cell.adversary else {
@@ -708,10 +674,28 @@ fn threads_crash_stats(
     };
     let plan = crate::grid::crash_plan(pct, stagger, cell.p, cell.t, cfg.max_ticks);
     let scheduled = plan.iter().flatten().count();
-    let fired_total: u64 = probes.iter().map(|pr| pr.crashes_fired).sum();
+    let fired: Vec<u64> = if cell.effective_backend() == Backend::Threads {
+        probes.iter().map(|pr| pr.crashes_fired).collect()
+    } else {
+        reports
+            .iter()
+            .map(|report| {
+                let sigma = report.sigma.expect("incomplete runs error out above");
+                let fired = plan.iter().flatten().filter(|&&at| at <= sigma).count();
+                assert!(
+                    scheduled == 0 || cell.t < 2 || fired >= 1,
+                    "crash cell exercised no crashes: {} p={} t={} scheduled={scheduled} σ={sigma}",
+                    cell.adversary,
+                    cell.p,
+                    cell.t,
+                );
+                fired as u64
+            })
+            .collect()
+    };
     (
         Some(scheduled as f64),
-        Some(fired_total as f64 / probes.len().max(1) as f64),
+        Some(fired.iter().sum::<u64>() as f64 / fired.len().max(1) as f64),
     )
 }
 
@@ -1123,6 +1107,23 @@ mod tests {
         .unwrap();
         assert!(!plain[0].metrics().contains_key("crash_count"));
         assert!(!plain[0].metrics().contains_key("mean_crashes_fired"));
+    }
+
+    #[test]
+    fn threads_crash_cells_count_what_their_runs_observed() {
+        let cells =
+            Grid::parse("algos=paran1 advs=crash:50 backends=threads shapes=4x16 ds=2 seeds=2")
+                .unwrap()
+                .cells();
+        let m = run_cells(&cells, &SweepConfig::default()).unwrap()[0].metrics();
+        assert_eq!(
+            m["crash_count"], 2.0,
+            "crash:50 of p=4, from the crash plan"
+        );
+        // A fast run may complete before a late budget is reached, so
+        // anything from none to every scheduled crash can fire.
+        let fired = m["mean_crashes_fired"];
+        assert!((0.0..=2.0).contains(&fired), "{m:?}");
     }
 
     #[test]

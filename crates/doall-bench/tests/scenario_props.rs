@@ -14,7 +14,7 @@
 //! integers reproduce the structure exactly.
 
 use doall_bench::grid::{AdversarySpec, Grid};
-use doall_bench::scenario::{AggFn, Assertion, Cmp, Expr, Guard, Scenario};
+use doall_bench::scenario::{AggFn, Assertion, Cmp, Condition, Expr, Scenario};
 use proptest::prelude::*;
 
 const ALGO_POOL: &[&str] = &["soloall", "da:3", "paran1", "padet", "gossip:2"];
@@ -133,8 +133,8 @@ fn arbitrary_num(g: &mut Gene) -> Expr {
 
 /// A random expression tree. `agg` selects the scope's leaf alphabet:
 /// aggregate expressions wrap every metric in `min/max/mean/sum` and
-/// carry no bare variables (`Assertion::validate` enforces exactly
-/// that), cell expressions are the reverse.
+/// carry no bare variables (the parser refuses either leaf outside its
+/// scope), cell expressions are the reverse.
 fn arbitrary_expr(g: &mut Gene, depth: u32, agg: bool) -> Expr {
     let choice = if depth == 0 {
         g.next() % 2
@@ -179,7 +179,7 @@ fn arbitrary_assertion(g: &mut Gene) -> Assertion {
         })
         .collect();
     let guard = if !aggregate && g.next() % 2 == 0 {
-        Some(Guard {
+        Some(Condition {
             lhs: arbitrary_expr(g, 1, false),
             cmp: arbitrary_cmp(g),
             rhs: arbitrary_expr(g, 1, false),
@@ -190,9 +190,11 @@ fn arbitrary_assertion(g: &mut Gene) -> Assertion {
     Assertion {
         aggregate,
         filters,
-        lhs: arbitrary_expr(g, 2, aggregate),
-        cmp: arbitrary_cmp(g),
-        rhs: arbitrary_expr(g, 2, aggregate),
+        test: Condition {
+            lhs: arbitrary_expr(g, 2, aggregate),
+            cmp: arbitrary_cmp(g),
+            rhs: arbitrary_expr(g, 2, aggregate),
+        },
         guard,
     }
 }

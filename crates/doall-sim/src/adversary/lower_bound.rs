@@ -3,11 +3,12 @@
 //!
 //! Construction (following the proof):
 //!
-//! * Computation is partitioned into *stages* of `L = min{d, ⌈t/6⌉}` time
-//!   units. Every message submitted during a stage is delivered exactly at
-//!   the stage's end (the [`super::StageAligned`] rule, with `L` for `d`),
-//!   so no information crosses a stage boundary inward — legal for a
-//!   d-adversary because `L ≤ d`.
+//! * Computation is partitioned into *stages* of
+//!   `L = min{d, max(⌊t/6⌋, 1)}` time units. Every message submitted
+//!   during a stage is delivered exactly at the stage's end (the
+//!   [`super::StageAligned`] rule, with `L` for `d`), so no information
+//!   crosses a stage boundary inward — legal for a d-adversary because
+//!   `L ≤ d`.
 //! * At the start of stage `s`, with `U_s` the still-unperformed tasks
 //!   (`u_s = |U_s|`), the adversary *dry-runs* every processor for `L`
 //!   steps (cloning its state machine and feeding it the messages that are
@@ -263,6 +264,10 @@ mod tests {
         assert_eq!(LowerBoundAdversary::new(4, 60).stage_len(), 4);
         assert_eq!(LowerBoundAdversary::new(100, 60).stage_len(), 10);
         assert_eq!(LowerBoundAdversary::new(3, 2).stage_len(), 1);
+        // ⌊7/6⌋ = 1, where ⌈7/6⌉ would be 2.
+        assert_eq!(LowerBoundAdversary::new(100, 7).stage_len(), 1);
+        let randomized = crate::adversary::RandomizedLbAdversary::new(100, 7, 0);
+        assert_eq!(randomized.stage_len(), 1);
     }
 
     #[test]

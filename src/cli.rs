@@ -29,13 +29,12 @@ use crate::perms::Schedules;
 use crate::sim::Simulation;
 use crate::Instance;
 use doall_bench::compare::{compare, compare_files, preserve_measured_values, Comparison};
-use doall_bench::experiments::derive_by_name;
 use doall_bench::grid::{
     build_adversary, build_algorithm, validate_algo_key, AdversarySpec, Grid, GridError,
 };
-use doall_bench::resultset::{load_result_set, BaselineSet, Record, ResultSet};
-use doall_bench::suite::{load_dir, render_sections, run_suite, SuiteConfig};
-use doall_bench::sweep::{run_cells, SweepConfig};
+use doall_bench::resultset::{load_result_set, BaselineSet, ResultSet};
+use doall_bench::scenario::Scenario;
+use doall_bench::suite::{load_dir, render_sections, run_scenario, run_suite, SuiteConfig};
 use std::fmt::{self, Write as _};
 use std::io::{self, Write as _};
 use std::path::Path;
@@ -100,30 +99,38 @@ pub enum Format {
     Csv,
 }
 
+/// The run flags `sweep` and `test` share, each read in one place.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RunFlags {
+    /// Worker threads (default: available parallelism). Wall-clock only.
+    pub threads: Option<usize>,
+    /// Replicates per scheduled shard (default: auto — a grid with fewer
+    /// cells than workers splits each cell's replicates across the pool).
+    /// Wall-clock only; results are byte-identical for every value.
+    pub shard_size: Option<u64>,
+    /// Per-run tick cutoff (default: [`CLI_MAX_TICKS`] for `sweep`, each
+    /// scenario's own `max_ticks` for `test`).
+    pub max_ticks: Option<u64>,
+    /// Baseline result-set file to diff the results against after the
+    /// run (drift exits 1).
+    pub baseline: Option<String>,
+    /// Drift tolerance for `--baseline` (default 0 — results are
+    /// deterministic, so any drift on an unchanged grid is a regression).
+    pub tolerance: f64,
+}
+
 /// Parameters of the `sweep` subcommand: a grid plus execution/output
 /// options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The scenario grid to run.
     pub grid: Grid,
-    /// Worker threads (default: available parallelism).
-    pub threads: Option<usize>,
-    /// Replicates per scheduled shard (default: auto — a grid with fewer
-    /// cells than workers splits each cell's replicates across the pool).
-    /// Wall-clock only; results are byte-identical for every value.
-    pub shard_size: Option<u64>,
-    /// Per-run tick cutoff (default: the simulator's).
-    pub max_ticks: Option<u64>,
+    /// Execution and baseline options.
+    pub run: RunFlags,
     /// Output format.
     pub format: Format,
     /// Write output here instead of stdout.
     pub out: Option<String>,
-    /// Baseline file to diff the results against after the run (diff
-    /// table on stderr; drift exits 1).
-    pub baseline: Option<String>,
-    /// Drift tolerance for `--baseline` (default 0 — results are
-    /// deterministic, so any drift on an unchanged grid is a regression).
-    pub tolerance: f64,
 }
 
 /// Parameters of the `test` subcommand: a scenario directory plus the
@@ -137,16 +144,8 @@ pub struct TestSpec {
     pub smoke: bool,
     /// Restrict the run to these scenario ids (unknown ids are errors).
     pub only: Option<Vec<String>>,
-    /// Worker threads (default: available parallelism). Wall-clock only.
-    pub threads: Option<usize>,
-    /// Replicates per scheduled shard (default: auto). Wall-clock only.
-    pub shard_size: Option<u64>,
-    /// Tick-cutoff override (default: each scenario's own `max_ticks`).
-    pub max_ticks: Option<u64>,
-    /// Baseline result-set file to diff the merged records against.
-    pub baseline: Option<String>,
-    /// Drift tolerance for `--baseline` (default 0 = exact).
-    pub tolerance: f64,
+    /// Execution and baseline options.
+    pub run: RunFlags,
     /// Emit the report as JSON instead of the pass/fail table.
     pub json: bool,
     /// Write the rendered report here instead of stdout.
@@ -371,16 +370,6 @@ impl<'a> Args<'a> {
     }
 }
 
-/// The flags `sweep` and `test` share, each read in one place.
-#[derive(Default)]
-struct RunFlags {
-    threads: Option<usize>,
-    shard_size: Option<u64>,
-    max_ticks: Option<u64>,
-    baseline: Option<String>,
-    tolerance: f64,
-}
-
 impl RunFlags {
     /// Reads the current flag if it is one of these; `false` if not.
     fn read(&mut self, args: &mut Args) -> Result<bool, CliError> {
@@ -393,6 +382,16 @@ impl RunFlags {
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// The suite runner's configuration for these flags.
+    fn suite_config(&self, smoke: bool) -> SuiteConfig {
+        SuiteConfig {
+            smoke,
+            threads: self.threads,
+            shard_size: self.shard_size,
+            max_ticks: self.max_ticks,
+        }
     }
 }
 
@@ -482,13 +481,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Sweep(SweepSpec {
                 grid: grid.ok_or_else(|| err("--grid is required"))?,
-                threads: run.threads,
-                shard_size: run.shard_size,
-                max_ticks: run.max_ticks,
+                run,
                 format,
                 out,
-                baseline: run.baseline,
-                tolerance: run.tolerance,
             }))
         }
         "test" => {
@@ -516,11 +511,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 suite: suite.ok_or_else(|| err("--suite is required"))?,
                 smoke,
                 only,
-                threads: run.threads,
-                shard_size: run.shard_size,
-                max_ticks: run.max_ticks,
-                baseline: run.baseline,
-                tolerance: run.tolerance,
+                run,
                 json,
                 out,
                 record,
@@ -673,30 +664,15 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             Ok(Outcome::Clean)
         }
         Command::Sweep(spec) => {
-            let cells = spec.grid.cells();
-            let mut cfg = SweepConfig {
-                max_ticks: spec.max_ticks.unwrap_or(CLI_MAX_TICKS),
-                shard_size: spec.shard_size,
-                ..SweepConfig::default()
+            // A sweep is a one-grid scenario with no assertions.
+            let scn = Scenario {
+                id: "sweep".to_string(),
+                grids: vec![spec.grid.clone()],
+                derive: Some("ratio_quadratic".to_string()),
+                max_ticks: Some(CLI_MAX_TICKS),
+                ..Scenario::default()
             };
-            if let Some(threads) = spec.threads {
-                cfg.threads = threads;
-            }
-            let measurements = run_cells(&cells, &cfg).map_err(|e| err(e.to_string()))?;
-            let ratio_quadratic =
-                derive_by_name("ratio_quadratic").expect("ratio_quadratic is a built-in hook");
-            let records: Vec<Record> = measurements
-                .into_iter()
-                .map(|m| {
-                    let mut metrics = m.metrics();
-                    ratio_quadratic(&m.cell, &mut metrics);
-                    Record {
-                        experiment: "sweep".to_string(),
-                        cell: m.cell,
-                        metrics,
-                    }
-                })
-                .collect();
+            let (_, records) = run_scenario(&scn, &spec.run.suite_config(false)).map_err(err)?;
             let results = ResultSet {
                 mode: "custom".to_string(),
                 records,
@@ -707,8 +683,8 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 Format::Csv => results.to_csv(),
             };
             write_out(&rendered, spec.out.as_deref())?;
-            if let Some(baseline_path) = &spec.baseline {
-                let comparison = diff_baseline(&results, baseline_path, spec.tolerance)?;
+            if let Some(baseline_path) = &spec.run.baseline {
+                let comparison = diff_baseline(&results, baseline_path, spec.run.tolerance)?;
                 note(&comparison.render_text());
                 if !comparison.is_clean() {
                     return Ok(Outcome::Drift);
@@ -729,18 +705,13 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                 }
                 scenarios.retain(|s| only.contains(&s.id));
             }
-            let cfg = SuiteConfig {
-                smoke: spec.smoke,
-                threads: spec.threads,
-                shard_size: spec.shard_size,
-                max_ticks: spec.max_ticks,
-            };
-            let mut report = run_suite(&scenarios, &cfg).map_err(err)?;
+            let mut report =
+                run_suite(&scenarios, &spec.run.suite_config(spec.smoke)).map_err(err)?;
             // The human tables go to stderr: their `threads` rows vary
             // from run to run, and stdout / --out must stay
             // byte-deterministic.
             note(&render_sections(&scenarios, &report.results));
-            if let Some(baseline_path) = &spec.baseline {
+            if let Some(baseline_path) = &spec.run.baseline {
                 if spec.record {
                     // Regenerate the baseline from this run — but never
                     // from a failing suite. Timing-exempt values carry
@@ -763,7 +734,8 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
                         ));
                     }
                 } else {
-                    let comparison = diff_baseline(&report.results, baseline_path, spec.tolerance)?;
+                    let comparison =
+                        diff_baseline(&report.results, baseline_path, spec.run.tolerance)?;
                     if !comparison.is_clean() {
                         note(&comparison.render_text());
                     }
@@ -1065,7 +1037,7 @@ mod tests {
             Command::Sweep(spec) => {
                 assert_eq!(spec.grid.algos, vec!["da:3", "paran1"]);
                 assert_eq!(spec.grid.seeds, 2);
-                assert_eq!(spec.threads, Some(2));
+                assert_eq!(spec.run.threads, Some(2));
                 assert_eq!(spec.format, Format::Json);
             }
             other => panic!("wrong command: {other:?}"),
@@ -1177,11 +1149,11 @@ mod tests {
     #[test]
     fn sweep_parses_shard_size() {
         match parse(&sweep(ONE_CELL, "--shard-size 3")).unwrap() {
-            Command::Sweep(spec) => assert_eq!(spec.shard_size, Some(3)),
+            Command::Sweep(spec) => assert_eq!(spec.run.shard_size, Some(3)),
             other => panic!("wrong command: {other:?}"),
         }
         match parse(&sweep(ONE_CELL, "")).unwrap() {
-            Command::Sweep(spec) => assert_eq!(spec.shard_size, None, "default is auto"),
+            Command::Sweep(spec) => assert_eq!(spec.run.shard_size, None, "default is auto"),
             other => panic!("wrong command: {other:?}"),
         }
         assert!(parse(&sweep(ONE_CELL, "--shard-size 0")).is_err());
@@ -1193,8 +1165,8 @@ mod tests {
     fn sweep_parses_baseline_and_tolerance() {
         match parse(&sweep(ONE_CELL, "--baseline base.json --tolerance 0.1")).unwrap() {
             Command::Sweep(spec) => {
-                assert_eq!(spec.baseline.as_deref(), Some("base.json"));
-                assert_eq!(spec.tolerance, 0.1);
+                assert_eq!(spec.run.baseline.as_deref(), Some("base.json"));
+                assert_eq!(spec.run.tolerance, 0.1);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1279,11 +1251,7 @@ mod tests {
                 suite: "scenarios/".to_string(),
                 smoke: false,
                 only: None,
-                threads: None,
-                shard_size: None,
-                max_ticks: None,
-                baseline: None,
-                tolerance: 0.0,
+                run: RunFlags::default(),
                 json: false,
                 out: None,
                 record: false,
@@ -1301,11 +1269,16 @@ mod tests {
                     spec.only.as_deref(),
                     Some(&["e01".to_string(), "e05".to_string()][..])
                 );
-                assert_eq!(spec.threads, Some(2));
-                assert_eq!(spec.shard_size, Some(1));
-                assert_eq!(spec.max_ticks, Some(1000));
-                assert_eq!(spec.baseline.as_deref(), Some("base.json"));
-                assert_eq!(spec.tolerance, 0.5);
+                assert_eq!(
+                    spec.run,
+                    RunFlags {
+                        threads: Some(2),
+                        shard_size: Some(1),
+                        max_ticks: Some(1000),
+                        baseline: Some("base.json".to_string()),
+                        tolerance: 0.5,
+                    }
+                );
                 assert_eq!(spec.out.as_deref(), Some("report.json"));
             }
             other => panic!("wrong command: {other:?}"),

@@ -173,3 +173,58 @@ fn compare_exits_0_clean_1_drift_2_missing() {
     std::fs::remove_file(&copy).expect("remove the copy");
     assert_eq!(doall(&["compare", old, new]).status.code(), Some(2));
 }
+
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a scratch suite directory under the system temp dir"
+)]
+fn a_derive_hook_on_an_algorithm_it_cannot_read_exits_2_at_load() {
+    // `da_bound` rebuilds DA's schedules from the `q` of `da:<q>`; on
+    // `paran1` there is none. The hook used to panic mid-run (101).
+    let dir = std::env::temp_dir().join(format!("doall_exit_codes_derive_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the suite dir");
+    let scn = "id = x\n\
+               grid = algos=paran1 advs=unit shapes=4x8 ds=1 seeds=1 seed=0\n\
+               derive = da_bound\n\
+               assert t >= 1\n";
+    std::fs::write(dir.join("x.scn"), scn).expect("write the scenario");
+    let out = doall(&["test", "--suite", path_str(&dir)]);
+    std::fs::remove_dir_all(&dir).expect("remove the suite dir");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    for needle in ["x.scn", "derive hook `da_bound`", "algorithm `paran1`"] {
+        assert!(stderr.contains(needle), "{stderr}");
+    }
+}
+
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "scratch result sets under the system temp dir"
+)]
+fn a_result_set_with_d_of_u64_max_reads_back() {
+    let dir = std::env::temp_dir().join(format!("doall_exit_codes_u64_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the scratch dir");
+    let (small, big) = (dir.join("small.json"), dir.join("big.json"));
+    let (small, big) = (path_str(&small), path_str(&big));
+    let grid = |d: &str| format!("algos=soloall advs=unit shapes=2x2 ds={d} seeds=1 seed=0");
+    let max = grid("18446744073709551615");
+    let code = |args: &[&str]| doall(args).status.code();
+    assert_eq!(
+        code(&["sweep", "--grid", &grid("1"), "--out", small]),
+        Some(0)
+    );
+    // The u64::MAX cell is not the d = 1 cell: drift (1), where reading
+    // the new results back used to panic (101).
+    assert_eq!(
+        code(&["sweep", "--grid", &max, "--baseline", small]),
+        Some(1)
+    );
+    // Written, compared and diffed against itself: clean, where the
+    // reader refused `d` above 2^53 (2).
+    assert_eq!(code(&["sweep", "--grid", &max, "--out", big]), Some(0));
+    assert_eq!(code(&["compare", big, big]), Some(0));
+    assert_eq!(code(&["sweep", "--grid", &max, "--baseline", big]), Some(0));
+    std::fs::remove_dir_all(&dir).expect("remove the scratch dir");
+}
