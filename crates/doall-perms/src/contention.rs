@@ -25,6 +25,7 @@
 //! `1 − e^{−n ln n · ln(7/e²) − p}`, and Corollary 4.5 extracts the
 //! deterministic lists used by PaDet.
 
+use crate::lrm::Fenwick;
 use crate::{d_lrm, Permutation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,13 +125,30 @@ pub struct DContentionEstimate {
 /// the identity and `samples` random `ϱ`, followed by a first-improvement
 /// swap ascent from the best of them (bounded proposal budget).
 ///
+/// Each reference is scored from scratch, `O(p·n log n)` on buffers the
+/// call allocates once. The ascent then proposes `max(4n, 128)` random
+/// transpositions of two ranks `lo < hi` of `ϱ`, and scores each by its
+/// change alone. Call `g` the number of earlier positions of `π_u` that
+/// hold a greater rank; a position counts when `g < d`. The swap moves
+/// the two jobs at positions `x < y` of `π_u`, and changes `g` only:
+///
+/// * at positions between them holding a rank inside `(lo, hi)`, by one;
+/// * at `x` by `c`, the number of such ranks before `x`;
+/// * at `y` by `c + m + 1`, where `m` counts such ranks between `x` and `y`.
+///
+/// (Each change is upward where the rank rises, at the middle positions
+/// and `y` when `x` held `lo`.) A proposal then costs one `O(n)` scan per
+/// schedule, `O(p·n)` in all, and allocates nothing. The swap is kept
+/// only when it raises the value. The draws and the returned value are
+/// those of rescoring every proposal with [`d_contention_wrt`].
+///
 /// Only reports on `n` beyond the exact range use this; the algorithms rely
 /// on exact values for small `q` or on the probabilistic bounds of
 /// Theorem 4.4.
 ///
 /// # Panics
 ///
-/// Panics if `sigma` is empty.
+/// Panics if `sigma` is empty or the sizes disagree.
 #[must_use]
 pub fn d_contention_estimate(sigma: &[Permutation], d: usize, samples: usize, seed: u64) -> usize {
     assert!(
@@ -139,42 +157,191 @@ pub fn d_contention_estimate(sigma: &[Permutation], d: usize, samples: usize, se
     );
     let n = sigma[0].n();
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut ranked = Ranked::new(sigma, d);
 
     // The identity is the natural first guess: for schedule lists built from
     // "forward-leaning" permutations it is often the worst case.
-    let mut best_rho = Permutation::identity(n);
-    let mut best = d_contention_wrt(sigma, &best_rho, d);
+    let mut rho = Permutation::identity(n);
+    let mut best = ranked.fill(&rho);
 
     for _ in 0..samples {
-        let rho = Permutation::random(n, &mut rng);
-        let v = d_contention_wrt(sigma, &rho, d);
+        let sample = Permutation::random(n, &mut rng);
+        let v = ranked.fill(&sample);
         if v > best {
             best = v;
-            best_rho = rho;
+            rho = sample;
         }
     }
 
     // Greedy ascent: propose random transpositions, keep improvements.
-    let budget = (4 * n).max(128);
-    let mut rho = best_rho;
+    let budget = if n < 2 { 0 } else { (4 * n).max(128) };
+    ranked.fill(&rho);
     for _ in 0..budget {
-        if n < 2 {
-            break;
-        }
         let i = rng.random_range(0..n);
         let j = rng.random_range(0..n);
         if i == j {
             continue;
         }
-        rho.swap_positions(i, j);
-        let v = d_contention_wrt(sigma, &rho, d);
-        if v > best {
-            best = v;
-        } else {
-            rho.swap_positions(i, j); // revert
+        let (lo, hi) = (i.min(j), i.max(j));
+        let gain = ranked.gain(&rho, lo, hi);
+        if gain > 0 {
+            ranked.commit(&mut rho, lo, hi);
+            best += gain.unsigned_abs();
         }
     }
     best
+}
+
+/// `(d)-Cont(Σ, ϱ)` for one reference `ϱ`, kept per position so that a
+/// swap of two ranks of `ϱ` can be scored and applied in `O(p·n)`.
+struct Ranked<'a> {
+    sigma: &'a [Permutation],
+    d: usize,
+    n: usize,
+    /// `pos[u·n + x]`: the position of job `x` in `π_u`.
+    pos: Vec<u32>,
+    /// `rank[u·n + k] = ϱ⁻¹(π_u(k))`.
+    rank: Vec<u32>,
+    /// `greater[u·n + k]`: the earlier positions of `π_u` holding a greater
+    /// rank than `k` does.
+    greater: Vec<u32>,
+    /// `ϱ⁻¹`, rebuilt by each `fill`.
+    rank_of: Vec<u32>,
+    fenwick: Fenwick,
+}
+
+impl<'a> Ranked<'a> {
+    fn new(sigma: &'a [Permutation], d: usize) -> Self {
+        let n = sigma[0].n();
+        let mut pos = vec![0u32; sigma.len() * n];
+        for (u, pi) in sigma.iter().enumerate() {
+            assert_eq!(pi.n(), n, "schedule sizes must agree");
+            for (k, &x) in pi.as_slice().iter().enumerate() {
+                pos[u * n + x as usize] = k as u32;
+            }
+        }
+        Self {
+            sigma,
+            d,
+            n,
+            pos,
+            rank: vec![0; sigma.len() * n],
+            greater: vec![0; sigma.len() * n],
+            rank_of: vec![0; n],
+            fenwick: Fenwick::new(n),
+        }
+    }
+
+    /// Sets the reference to `rho` and returns `(d)-Cont(Σ, rho)`.
+    fn fill(&mut self, rho: &Permutation) -> usize {
+        for (r, &x) in rho.as_slice().iter().enumerate() {
+            self.rank_of[x as usize] = r as u32;
+        }
+        let n = self.n;
+        let mut count = 0;
+        for (u, pi) in self.sigma.iter().enumerate() {
+            self.fenwick.clear();
+            let row = u * n..(u + 1) * n;
+            let cells = self.rank[row.clone()]
+                .iter_mut()
+                .zip(&mut self.greater[row]);
+            for ((k, &x), (rank, greater)) in pi.as_slice().iter().enumerate().zip(cells) {
+                *rank = self.rank_of[x as usize];
+                // Earlier ranks greater than this one = k - (earlier ranks ≤ it).
+                *greater = (k - self.fenwick.prefix_sum(*rank as usize)) as u32;
+                self.fenwick.add(*rank as usize);
+                count += usize::from((*greater as usize) < self.d);
+            }
+        }
+        count
+    }
+
+    /// For schedule `u` and the jobs of ranks `lo < hi` under `rho`: their
+    /// positions `x < y` in `π_u`, whether `x` holds `lo` (then the swap
+    /// raises the rank at `x`), and `c`, the number of positions before `x`
+    /// holding a rank inside `(lo, hi)`.
+    fn ends(
+        &self,
+        rho: &Permutation,
+        u: usize,
+        lo: usize,
+        hi: usize,
+    ) -> (usize, usize, bool, usize) {
+        let row = u * self.n;
+        let at_lo = self.pos[row + rho.apply(lo)] as usize;
+        let at_hi = self.pos[row + rho.apply(hi)] as usize;
+        let (x, y) = (at_lo.min(at_hi), at_lo.max(at_hi));
+        let c = self.rank[row..row + x]
+            .iter()
+            .filter(|&&r| inside(r, lo, hi))
+            .count();
+        (x, y, at_lo < at_hi, c)
+    }
+
+    /// The change in `(d)-Cont(Σ, ϱ)` if `rho`'s ranks `lo < hi` swapped.
+    fn gain(&self, rho: &Permutation, lo: usize, hi: usize) -> isize {
+        let below = |g: usize| isize::from(g < self.d);
+        let mut gain = 0;
+        for u in 0..self.sigma.len() {
+            let (x, y, rises, c) = self.ends(rho, u, lo, hi);
+            let row = u * self.n..(u + 1) * self.n;
+            let (rank, greater) = (&self.rank[row.clone()], &self.greater[row]);
+            // A middle count moves by one, so it crosses d only from
+            // d − 1 when it rises and from d when it falls.
+            let edge = if rises {
+                self.d.wrapping_sub(1)
+            } else {
+                self.d
+            };
+            let (mut m, mut crossed) = (0, 0);
+            for (&r, &g) in rank[x + 1..y].iter().zip(&greater[x + 1..y]) {
+                let inside = inside(r, lo, hi);
+                m += usize::from(inside);
+                crossed += usize::from(inside & (g as usize == edge));
+            }
+            let (gx, gy) = (greater[x] as usize, greater[y] as usize);
+            let (gx2, gy2, middle) = if rises {
+                (gx - c, gy + c + m + 1, -(crossed as isize))
+            } else {
+                (gx + c, gy - (c + m + 1), crossed as isize)
+            };
+            gain += middle + below(gx2) - below(gx) + below(gy2) - below(gy);
+        }
+        gain
+    }
+
+    /// Swaps `rho`'s ranks `lo < hi`, and the kept ranks and counts with
+    /// them.
+    fn commit(&mut self, rho: &mut Permutation, lo: usize, hi: usize) {
+        for u in 0..self.sigma.len() {
+            let (x, y, rises, c) = self.ends(rho, u, lo, hi);
+            let row = u * self.n..(u + 1) * self.n;
+            let (rank, greater) = (&mut self.rank[row.clone()], &mut self.greater[row]);
+            let mut m = 0;
+            for (&r, g) in rank[x + 1..y].iter().zip(&mut greater[x + 1..y]) {
+                if inside(r, lo, hi) {
+                    m += 1;
+                    *g = if rises { *g + 1 } else { *g - 1 };
+                }
+            }
+            let moved = (c + m + 1) as u32;
+            if rises {
+                greater[x] -= c as u32;
+                greater[y] += moved;
+            } else {
+                greater[x] += c as u32;
+                greater[y] -= moved;
+            }
+            rank.swap(x, y);
+        }
+        rho.swap_positions(lo, hi);
+    }
+}
+
+/// Whether rank `r` lies strictly between `lo` and `hi` (one compare: below
+/// `lo + 1` wraps around to a large value).
+fn inside(r: u32, lo: usize, hi: usize) -> bool {
+    r.wrapping_sub(lo as u32 + 1) < (hi - lo - 1) as u32
 }
 
 /// `(d)-Cont(Σ)` with an automatic exact/estimate decision: exact for
@@ -300,6 +467,18 @@ mod tests {
                 assert!(est <= exact, "d={d}: estimate {est} > exact {exact}");
                 assert!(est >= sigma[0].n(), "at least n");
             }
+        }
+    }
+
+    #[test]
+    fn estimate_at_edge_delays() {
+        // d = 0 counts no position; d ≥ n counts all n·p of them. A d cast
+        // to u32 would read 2^32 as 0.
+        let mut rng = StdRng::seed_from_u64(3);
+        let sigma: Vec<Permutation> = (0..4).map(|_| Permutation::random(80, &mut rng)).collect();
+        assert_eq!(d_contention_estimate(&sigma, 0, 8, 0), 0);
+        for d in [80, 1 << 32, usize::MAX] {
+            assert_eq!(d_contention_estimate(&sigma, d, 8, 0), 320, "d={d}");
         }
     }
 

@@ -47,9 +47,9 @@ pub fn lrm(pi: &Permutation) -> usize {
 ///
 /// The implementation walks the schedule with a Fenwick tree over values,
 /// counting for each position how many earlier elements exceed it —
-/// `O(n log n)` total, which matters because the `(d)`-contention estimator
-/// evaluates this for hundreds of schedules of length up to several
-/// thousand.
+/// `O(n log n)` total. [`crate::d_contention_wrt`] calls it once per
+/// schedule; [`crate::d_contention_estimate`] keeps those counts itself and
+/// updates them swap by swap.
 #[must_use]
 pub fn d_lrm(pi: &Permutation, d: usize) -> usize {
     let n = pi.n();
@@ -75,35 +75,48 @@ pub fn d_lrm(pi: &Permutation, d: usize) -> usize {
 }
 
 /// Fenwick (binary indexed) tree over `0..n` counting inserted values.
-struct Fenwick {
+///
+/// Both walks take `⌊log₂ n⌋ + 1` steps for every value, so their loop
+/// exits are predictable. A prefix walk that is done stays at slot 0,
+/// which is never written; an insertion walk that is done stays at the
+/// last slot, which is never read.
+pub(crate) struct Fenwick {
     tree: Vec<u32>,
+    steps: u32,
 }
 
 impl Fenwick {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self {
-            tree: vec![0; n + 1],
+            tree: vec![0; n + 2],
+            steps: usize::BITS - n.leading_zeros(),
         }
     }
 
+    /// Removes every inserted value.
+    pub(crate) fn clear(&mut self) {
+        self.tree.fill(0);
+    }
+
     /// Inserts value `v` (counts it).
-    fn add(&mut self, v: usize) {
+    pub(crate) fn add(&mut self, v: usize) {
+        let sink = self.tree.len() - 1;
         let mut i = v + 1;
-        while i < self.tree.len() {
-            self.tree[i] += 1;
-            i += i & i.wrapping_neg();
+        for _ in 0..self.steps {
+            self.tree[i] = self.tree[i].wrapping_add(1);
+            i = (i + (i & i.wrapping_neg())).min(sink);
         }
     }
 
     /// Number of inserted values `≤ v`.
-    fn prefix_sum(&self, v: usize) -> usize {
+    pub(crate) fn prefix_sum(&self, v: usize) -> usize {
         let mut i = v + 1;
-        let mut s = 0usize;
-        while i > 0 {
-            s += self.tree[i] as usize;
-            i -= i & i.wrapping_neg();
+        let mut s = 0;
+        for _ in 0..self.steps {
+            s += self.tree[i];
+            i &= i.wrapping_sub(1);
         }
-        s
+        s as usize
     }
 }
 
@@ -190,10 +203,14 @@ mod tests {
                 .count()
         }
         let mut rng = StdRng::seed_from_u64(99);
-        for _ in 0..30 {
-            let p = Permutation::random(15, &mut rng);
-            for d in 1..=15 {
-                assert_eq!(d_lrm(&p, d), naive(&p, d), "{p:?} d={d}");
+        // Sizes on both sides of powers of two, where the Fenwick tree's
+        // walks change length.
+        for n in [1, 2, 3, 7, 8, 15, 16, 17, 64] {
+            for _ in 0..30 {
+                let p = Permutation::random(n, &mut rng);
+                for d in 1..=n {
+                    assert_eq!(d_lrm(&p, d), naive(&p, d), "{p:?} d={d}");
+                }
             }
         }
     }

@@ -1,12 +1,81 @@
 //! Property-based tests for permutation algebra and contention laws.
 
-use doall_perms::{d_contention_wrt, d_lrm, dcont_threshold, lrm, Permutation, Schedules};
+use doall_perms::{
+    d_contention_estimate, d_contention_wrt, d_lrm, dcont_threshold, lrm, Permutation, Schedules,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn random_perm(n: usize, seed: u64) -> Permutation {
     Permutation::random(n, &mut StdRng::seed_from_u64(seed))
+}
+
+/// The reference for [`d_contention_estimate`]: the same identity, samples
+/// and proposals, each reference rescored from scratch with
+/// [`d_contention_wrt`].
+fn estimate_by_rescoring(sigma: &[Permutation], d: usize, samples: usize, seed: u64) -> usize {
+    let n = sigma[0].n();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut best_rho = Permutation::identity(n);
+    let mut best = d_contention_wrt(sigma, &best_rho, d);
+    for _ in 0..samples {
+        let rho = Permutation::random(n, &mut rng);
+        let v = d_contention_wrt(sigma, &rho, d);
+        if v > best {
+            best = v;
+            best_rho = rho;
+        }
+    }
+    let mut rho = best_rho;
+    for _ in 0..(4 * n).max(128) {
+        if n < 2 {
+            break;
+        }
+        let i = rng.random_range(0..n);
+        let j = rng.random_range(0..n);
+        if i == j {
+            continue;
+        }
+        rho.swap_positions(i, j);
+        let v = d_contention_wrt(sigma, &rho, d);
+        if v > best {
+            best = v;
+        } else {
+            rho.swap_positions(i, j);
+        }
+    }
+    best
+}
+
+/// The incremental ascent where the value swings most: ties everywhere
+/// (p copies of the reversal), a schedule and its reverse, and a random
+/// list of e05's shape.
+#[test]
+fn estimate_matches_rescoring_on_fixed_lists() {
+    let mut rng = StdRng::seed_from_u64(0xe05);
+    let e05: Vec<Permutation> = (0..16).map(|_| Permutation::random(64, &mut rng)).collect();
+    let cases = [
+        (vec![Permutation::reversal(24); 5], vec![1, 2, 12, 24]),
+        (
+            vec![Permutation::identity(30), Permutation::reversal(30)],
+            vec![1, 3, 15, 29],
+        ),
+        (e05, vec![1, 4, 16]),
+    ];
+    for (sigma, ds) in cases {
+        for d in ds {
+            for (samples, seed) in [(0, 0), (8, 1), (64, 0)] {
+                assert_eq!(
+                    d_contention_estimate(&sigma, d, samples, seed),
+                    estimate_by_rescoring(&sigma, d, samples, seed),
+                    "p={} n={} d={d} samples={samples} seed={seed}",
+                    sigma.len(),
+                    sigma[0].n()
+                );
+            }
+        }
+    }
 }
 
 proptest! {
@@ -161,5 +230,28 @@ proptest! {
             let p = s.get(u);
             prop_assert_eq!(p.compose(&p.inverse()), Permutation::identity(n));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The incremental ascent returns what rescoring every proposal does.
+    #[test]
+    fn estimate_matches_rescoring(
+        n in 1usize..32,
+        p in 1usize..8,
+        d_draw in any::<usize>(),
+        samples in 0usize..8,
+        list_seed in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let sigma: Vec<Permutation> =
+            (0..p).map(|i| random_perm(n, list_seed.wrapping_add(i as u64))).collect();
+        let d = d_draw % (n + 3);
+        prop_assert_eq!(
+            d_contention_estimate(&sigma, d, samples, seed),
+            estimate_by_rescoring(&sigma, d, samples, seed)
+        );
     }
 }
