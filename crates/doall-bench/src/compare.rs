@@ -1,24 +1,16 @@
 //! Baseline comparison for sweep results: parse two result sets (via
 //! the shared [`crate::resultset`] schema module), match cells by
-//! `(experiment, algo, adversary, backend, p, t, d, seeds)`, and
-//! classify every matched cell as exact or drifting and every unmatched
-//! cell as added or removed. Records without a `backend` field (every
-//! pre-backend baseline) key as `"sim"`, so old files keep matching.
+//! `(experiment, algo, adversary, p, t, d, seeds)`, and classify every
+//! matched cell as exact or drifting and every unmatched cell as added
+//! or removed.
 //!
 //! The sweep harness is byte-deterministic per cell (seeds derive from
 //! cell parameters, output carries nothing time- or machine-dependent),
 //! so on an unchanged grid *any* value difference is a regression — the
-//! default tolerance is therefore `0`. A non-zero tolerance treats a
-//! metric as drifted only when `|new − old| > tolerance · max(1, |old|,
-//! |new|)` (relative, with an absolute floor of `tolerance` for values
-//! near zero).
-//!
-//! Two exemptions keep `--tolerance 0` honest about what determinism
-//! promises: the measured-only metrics ([`MEASURED_ONLY_METRICS`] —
-//! wall-clock and engine-side accounting) are excluded from drift
-//! classification everywhere, and cells on the `threads` backend are
-//! compared for *presence* only (their work/message counts depend on OS
-//! scheduling, so value drift there is expected, not a regression).
+//! default tolerance is therefore `0`, and every metric of every cell
+//! is compared. A non-zero tolerance treats a metric as drifted only
+//! when `|new − old| > tolerance · max(1, |old|, |new|)` (relative, with
+//! an absolute floor of `tolerance` for values near zero).
 //!
 //! Rendering is deterministic: cells sort by key, metrics by name, and
 //! floats print via Rust's shortest-round-trip `Display` — comparing the
@@ -26,7 +18,7 @@
 //! thread counts anywhere upstream.
 
 use crate::resultset::{
-    json_escape, json_number, load_result_set, BaselineSet, CellKey, ResultSet, ResultSetError,
+    json_escape, json_number, load_result_set, BaselineSet, CellKey, ResultSetError,
 };
 use crate::Table;
 use std::collections::BTreeSet;
@@ -34,50 +26,9 @@ use std::fmt::Write as _;
 
 /// Version of the *diff* JSON schema emitted by
 /// [`Comparison::render_json`]; independent of the result-set schema
-/// ([`crate::resultset::SCHEMA_VERSION`]).
-pub const DIFF_SCHEMA_VERSION: u32 = 1;
-
-/// Metric names that are *measured* (wall-clock or engine-side
-/// accounting) rather than simulated: never part of drift
-/// classification, whatever the tolerance — two byte-identical sim runs
-/// on different machines may legitimately disagree on them, and the
-/// `sim` backend pins them to zero anyway.
-pub const MEASURED_ONLY_METRICS: &[&str] =
-    &["wall_clock_ms", "crashed_drained", "max_crashed_backlog"];
-
-/// The backend key whose cells compare by presence only (see the module
-/// docs): real-thread counts are schedule-dependent.
-const MEASURED_BACKEND: &str = "threads";
-
-/// `true` when `metric` of a cell keyed `key` is exempt from drift
-/// classification. Its two callers are [`compare`] and
-/// [`preserve_measured_values`].
-pub(crate) fn metric_exempt(key: &CellKey, metric: &str) -> bool {
-    key.backend == MEASURED_BACKEND || MEASURED_ONLY_METRICS.contains(&metric)
-}
-
-/// Copies `old`'s values onto `results` for every exemption-covered
-/// (cell, metric) pair the two share: `threads`-backend cells and the
-/// measured-only metrics re-measure on every run by nature, and their
-/// values are never drift-gated anyway. `test --record` runs this over
-/// the previous baseline so an unchanged suite regenerates the
-/// committed file *byte-identically* instead of churning timing noise;
-/// genuinely new or removed cells/metrics still come and go.
-pub fn preserve_measured_values(results: &mut ResultSet, old: &BaselineSet) {
-    for record in &mut results.records {
-        let key = record.key();
-        let Some(old_metrics) = old.cells.get(&key) else {
-            continue;
-        };
-        for (name, value) in &mut record.metrics {
-            if metric_exempt(&key, name) {
-                if let Some(v) = old_metrics.get(name) {
-                    *value = *v;
-                }
-            }
-        }
-    }
-}
+/// ([`crate::resultset::SCHEMA_VERSION`]). Since version 2 a cell is
+/// identified by the seven fields of its [`CellKey`].
+pub const DIFF_SCHEMA_VERSION: u32 = 2;
 
 // === Comparison ===========================================================
 
@@ -212,9 +163,6 @@ pub fn compare(old: &BaselineSet, new: &BaselineSet, tolerance: f64) -> Comparis
                 let deltas: Vec<MetricDelta> = names
                     .into_iter()
                     .filter_map(|name| {
-                        if metric_exempt(key, name) {
-                            return None;
-                        }
                         let o = old_metrics.get(name).copied();
                         let n = new_metrics.get(name).copied();
                         drifted(o, n, tolerance).then(|| MetricDelta {
@@ -325,7 +273,6 @@ impl Comparison {
             "experiment",
             "algo",
             "adversary",
-            "backend",
             "shape",
             "d",
             "seeds",
@@ -342,7 +289,6 @@ impl Comparison {
                 k.experiment.clone(),
                 k.algo.clone(),
                 k.adversary.clone(),
-                k.backend.clone(),
                 format!("{}x{}", k.p, k.t),
                 k.d.to_string(),
                 k.seeds.to_string(),
@@ -405,13 +351,12 @@ impl Comparison {
             let _ = write!(
                 out,
                 "    {{\"status\": \"{}\", \"experiment\": \"{}\", \"algo\": \"{}\", \
-                 \"adversary\": \"{}\", \"backend\": \"{}\", \"p\": {}, \"t\": {}, \"d\": {}, \
-                 \"seeds\": {}, \"metrics\": [",
+                 \"adversary\": \"{}\", \"p\": {}, \"t\": {}, \"d\": {}, \"seeds\": {}, \
+                 \"metrics\": [",
                 cell.status.label(),
                 json_escape(&k.experiment),
                 json_escape(&k.algo),
                 json_escape(&k.adversary),
-                json_escape(&k.backend),
                 k.p,
                 k.t,
                 k.d,
@@ -491,7 +436,6 @@ mod tests {
             experiment: "e01".into(),
             algo: "da:3".into(),
             adversary: "stage".into(),
-            backend: "sim".into(),
             p: 4,
             t: 16,
             d: 2,
@@ -501,144 +445,19 @@ mod tests {
     }
 
     #[test]
-    fn preserving_measured_values_makes_rerecording_byte_stable() {
-        use crate::grid::{AdversarySpec, Backend, Cell};
-        use crate::resultset::{Record, ResultSet};
-        use std::collections::BTreeMap;
-        let make = |backend, wall: f64, work: f64| {
-            let mut metrics = BTreeMap::new();
-            metrics.insert("mean_work".to_string(), work);
-            metrics.insert("wall_clock_ms".to_string(), wall);
-            Record {
-                experiment: "e17".to_string(),
-                cell: Cell {
-                    algo: "paran1".to_string(),
-                    adversary: AdversarySpec::Unit,
-                    p: 4,
-                    t: 16,
-                    d: 2,
-                    seeds: 1,
-                    cell_seed: 7,
-                    backend: Some(backend),
-                },
-                metrics,
-            }
-        };
-        let old = ResultSet {
-            mode: "smoke".to_string(),
-            records: vec![
-                make(Backend::Sim, 0.0, 64.0),
-                make(Backend::Threads, 1.25, 70.0),
-            ],
-        };
-        // A rerun re-measures wall clocks and thread counts...
-        let mut fresh = ResultSet {
-            mode: "smoke".to_string(),
-            records: vec![
-                make(Backend::Sim, 0.0, 64.0),
-                make(Backend::Threads, 9.75, 71.0),
-            ],
-        };
-        // ...but preserving the exempt values restores the old bytes.
-        preserve_measured_values(&mut fresh, &BaselineSet::of(&old));
-        assert_eq!(fresh.to_json(), old.to_json());
-        // A genuine sim-value change is NOT papered over.
-        let mut drifted_run = ResultSet {
-            mode: "smoke".to_string(),
-            records: vec![
-                make(Backend::Sim, 0.0, 65.0),
-                make(Backend::Threads, 1.25, 70.0),
-            ],
-        };
-        preserve_measured_values(&mut drifted_run, &BaselineSet::of(&old));
-        assert_ne!(drifted_run.to_json(), old.to_json());
-        assert_eq!(drifted_run.records[0].metrics["mean_work"], 65.0);
-        // New cells (absent from the old baseline) keep fresh values.
-        let mut added = ResultSet {
-            mode: "smoke".to_string(),
-            records: vec![make(Backend::Threads, 3.5, 80.0)],
-        };
-        let empty = ResultSet {
-            mode: "smoke".to_string(),
-            records: Vec::new(),
-        };
-        preserve_measured_values(&mut added, &BaselineSet::of(&empty));
-        assert_eq!(added.records[0].metrics["wall_clock_ms"], 3.5);
-    }
-
-    #[test]
-    fn backend_defaults_to_sim_and_distinguishes_cells() {
-        let cell = |backend_field: &str, work: f64| {
+    fn every_metric_gates_at_tolerance_zero() {
+        // No metric is exempt: a wall-clock-like name drifts like any
+        // other.
+        let cell = |wall: f64| {
             format!(
-                "{{\"experiment\": \"e17\", \"algo\": \"paran1\", \"adversary\": \"unit\", \
-                 {backend_field}\"p\": 4, \"t\": 16, \"d\": 2, \"seeds\": 1, \
-                 \"metrics\": {{\"mean_work\": {work}}}}}"
+                "{{\"experiment\": \"e01\", \"algo\": \"paran1\", \"adversary\": \"unit\", \
+                 \"p\": 4, \"t\": 16, \"d\": 2, \"seeds\": 1, \
+                 \"metrics\": {{\"mean_work\": 64, \"wall_clock_ms\": {wall}}}}}"
             )
         };
-        // A pre-backend baseline (no field) matches a tagged sim record.
-        let old = set(&cell("", 64.0));
-        let new = set(&cell("\"backend\": \"sim\", ", 64.0));
-        assert!(compare(&old, &new, 0.0).is_clean());
-        // sim and threads are distinct cells, not value drift.
-        let both = set(&[
-            cell("\"backend\": \"sim\", ", 64.0),
-            cell("\"backend\": \"threads\", ", 71.0),
-        ]
-        .join(", "));
-        assert_eq!(both.cells.len(), 2);
-        let cmp = compare(&old, &both, 0.0);
-        assert_eq!(cmp.exact, 1, "the sim cell matches the untagged baseline");
-        assert_eq!(cmp.count(CellStatus::Added), 1, "the threads cell is new");
-        // The non-default backend is named in the rendered key.
-        let added = cmp.cells.iter().find(|c| c.status == CellStatus::Added);
-        assert!(added.unwrap().key.to_string().contains("backend=threads"));
-    }
-
-    #[test]
-    fn measured_only_metrics_never_drift() {
-        let cell = |extra: &str| {
-            format!(
-                "{{\"experiment\": \"e17\", \"algo\": \"paran1\", \"adversary\": \"unit\", \
-                 \"backend\": \"sim\", \"p\": 4, \"t\": 16, \"d\": 2, \"seeds\": 1, \
-                 \"metrics\": {{\"mean_work\": 64{extra}}}}}"
-            )
-        };
-        // Value changes and one-sided presence of the measured-only trio
-        // are both invisible at tolerance 0 …
-        let old = set(&cell(", \"wall_clock_ms\": 0, \"crashed_drained\": 0"));
-        let new = set(&cell(
-            ", \"wall_clock_ms\": 3.25, \"max_crashed_backlog\": 7",
-        ));
-        assert!(compare(&old, &new, 0.0).is_clean());
-        // … while the simulated metrics still gate exactly.
-        let drifted_work = set(&cell(", \"wall_clock_ms\": 1").replacen("64", "65", 1));
-        let cmp = compare(&old, &drifted_work, 0.0);
+        let cmp = compare(&set(&cell(0.0)), &set(&cell(3.25)), 0.0);
         assert_eq!(cmp.count(CellStatus::Drift), 1);
-        assert_eq!(cmp.cells[0].deltas.len(), 1);
-        assert_eq!(cmp.cells[0].deltas[0].name, "mean_work");
-    }
-
-    #[test]
-    fn threads_cells_compare_by_presence_only() {
-        let cell = |d: u64, work: f64| {
-            format!(
-                "{{\"experiment\": \"e17\", \"algo\": \"paran1\", \"adversary\": \"unit\", \
-                 \"backend\": \"threads\", \"p\": 4, \"t\": 16, \"d\": {d}, \"seeds\": 1, \
-                 \"metrics\": {{\"mean_work\": {work}, \"wall_clock_ms\": {work}}}}}"
-            )
-        };
-        // Different work counts on the threads backend: expected
-        // scheduling noise, not drift.
-        let old = set(&[cell(2, 64.0), cell(8, 80.0)].join(", "));
-        let new = set(&[cell(2, 71.0), cell(8, 78.5)].join(", "));
-        let cmp = compare(&old, &new, 0.0);
-        assert!(cmp.is_clean(), "{}", cmp.render_text());
-        assert_eq!(cmp.exact, 2);
-        // A vanished threads cell is still a structural regression.
-        let shrunk = set(&cell(2, 71.0));
-        let cmp = compare(&old, &shrunk, 0.0);
-        assert!(!cmp.is_clean());
-        assert_eq!(cmp.count(CellStatus::Removed), 1);
+        assert_eq!(cmp.cells[0].deltas[0].name, "wall_clock_ms");
     }
 
     #[test]

@@ -239,14 +239,14 @@ mod tests {
     }
 
     #[test]
-    fn committed_suite_has_seventeen_unique_ids() {
+    fn committed_suite_has_sixteen_unique_ids() {
         let scenarios = committed();
-        assert_eq!(scenarios.len(), 17);
+        assert_eq!(scenarios.len(), 16);
         let ids: std::collections::BTreeSet<&str> =
             scenarios.iter().map(|s| s.id.as_str()).collect();
-        assert_eq!(ids.len(), 17);
+        assert_eq!(ids.len(), 16);
         assert!(ids.contains("e01"));
-        assert!(ids.contains("e17"));
+        assert!(ids.contains("e16"));
         // Sorted-path discovery puts them in id order.
         let in_order: Vec<&str> = scenarios.iter().map(|s| s.id.as_str()).collect();
         let mut sorted = in_order.clone();

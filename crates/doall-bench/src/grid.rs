@@ -287,54 +287,13 @@ impl fmt::Display for AdversarySpec {
     }
 }
 
-/// Execution backend for a cell: the discrete-event simulator (the
-/// default, and the only backend before backends became a grid axis) or
-/// `doall-runtime`'s real OS threads with delayed channels.
+/// Where a cell runs: only ever the discrete-event simulator.
 ///
-/// Grammar: `backends=sim,threads`. A grid without the axis is a *legacy
-/// sim-only* grid — its cells carry no backend tag, render exactly as
-/// before, and keep their byte-for-byte baselines; a grid that names the
-/// axis (even just `backends=sim`) tags every cell and switches its
-/// records to the extended schema (see `CellMeasurement::metrics`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// Kept only because perfbench names it; ROADMAP item 4 deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Deterministic discrete-event simulation (predicted curves).
-    #[default]
+    /// Deterministic discrete-event simulation.
     Sim,
-    /// Real OS threads via `doall-runtime` (measured curves).
-    Threads,
-}
-
-impl Backend {
-    /// The grammar token (`sim` / `threads`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Threads => "threads",
-        }
-    }
-
-    /// Parses a backend token.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GridError`] naming the bad token and the legal ones.
-    pub fn parse(s: &str) -> Result<Self, GridError> {
-        match s {
-            "sim" => Ok(Backend::Sim),
-            "threads" => Ok(Backend::Threads),
-            other => Err(err(format!(
-                "unknown backend `{other}` (backends are sim|threads)"
-            ))),
-        }
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
-    }
 }
 
 /// One point of a grid: a fully specified scenario plus its replicate
@@ -356,12 +315,8 @@ pub struct Cell {
     /// Cell seed, derived from the grid's base seed and the cell's own
     /// parameters (not its position or execution order).
     pub cell_seed: u64,
-    /// Execution backend. `None` for cells of a legacy grid (no
-    /// `backends=` axis): they run on the simulator with the legacy
-    /// record schema. `Some(_)` for cells of a backend-aware grid, which
-    /// use the extended schema. The backend is *not* hashed into the cell
-    /// seed, so the sim and threads variants of a scenario share replicate
-    /// seeds — the same algorithm randomness on both substrates.
+    /// Always `None`: every cell runs on the simulator. Kept only
+    /// because perfbench names it; ROADMAP item 4 deletes it.
     pub backend: Option<Backend>,
 }
 
@@ -370,13 +325,6 @@ impl Cell {
     #[must_use]
     pub fn run_seed(&self, k: u64) -> u64 {
         splitmix64(self.cell_seed ^ k.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-    }
-
-    /// The backend this cell executes on ([`Backend::Sim`] for legacy
-    /// cells without an explicit tag).
-    #[must_use]
-    pub fn effective_backend(&self) -> Backend {
-        self.backend.unwrap_or_default()
     }
 }
 
@@ -419,12 +367,6 @@ pub struct Grid {
     pub shapes: Vec<(usize, usize)>,
     /// Delay bounds.
     pub ds: Vec<u64>,
-    /// Execution backends (`backends=sim,threads`). Empty means the axis
-    /// was omitted: a legacy sim-only grid whose cells carry no backend
-    /// tag, render exactly as before the axis existed, and keep their
-    /// byte-for-byte baselines. Non-empty (even just `[Sim]`) tags every
-    /// cell and switches records to the extended schema.
-    pub backends: Vec<Backend>,
     /// Replicates per cell.
     pub seeds: u64,
     /// Base seed mixed into every cell seed.
@@ -443,7 +385,6 @@ impl Grid {
         let mut adversaries: Option<Vec<AdversarySpec>> = None;
         let mut shapes: Option<Vec<(usize, usize)>> = None;
         let mut ds: Option<Vec<u64>> = None;
-        let mut backends: Vec<Backend> = Vec::new();
         let mut seeds = 1u64;
         let mut base_seed = 0u64;
         // One bit per field seen: a repeated field would replace the first.
@@ -457,9 +398,8 @@ impl Grid {
                 "advs" => 2,
                 "shapes" => 4,
                 "ds" => 8,
-                "backends" => 16,
-                "seeds" => 32,
-                "seed" => 64,
+                "seeds" => 16,
+                "seed" => 32,
                 _ => 0,
             };
             if given & bit != 0 {
@@ -508,12 +448,6 @@ impl Grid {
                     }
                     ds = Some(parsed);
                 }
-                "backends" => {
-                    backends = value
-                        .split(',')
-                        .map(Backend::parse)
-                        .collect::<Result<_, _>>()?;
-                }
                 "seeds" => {
                     seeds = value
                         .parse()
@@ -535,7 +469,6 @@ impl Grid {
             adversaries: adversaries.unwrap_or_else(|| vec![AdversarySpec::Stage]),
             shapes: shapes.ok_or_else(|| err("grid needs shapes=PxT,..."))?,
             ds: ds.unwrap_or_else(|| vec![1]),
-            backends,
             seeds,
             base_seed,
         };
@@ -580,24 +513,13 @@ impl Grid {
         unique_axis(&self.adversaries, "advs")?;
         unique_axis(&self.shapes, "shapes")?;
         unique_axis(&self.ds, "ds")?;
-        // An empty backends axis means "axis omitted" (legacy sim-only),
-        // so only a named axis is checked for duplicates.
-        unique_axis(&self.backends, "backends")?;
         Ok(())
     }
 
     /// Expands the cross-product into cells, in canonical order
-    /// (algorithm-major, then adversary, shape, d, backend — so the sim
-    /// and threads variants of a scenario sit next to each other).
+    /// (algorithm-major, then adversary, shape, d).
     #[must_use]
     pub fn cells(&self) -> Vec<Cell> {
-        // An omitted backends axis expands like `[Sim]` but leaves cells
-        // untagged (legacy schema and rendering).
-        let backends: Vec<Option<Backend>> = if self.backends.is_empty() {
-            vec![None]
-        } else {
-            self.backends.iter().map(|&b| Some(b)).collect()
-        };
         let mut out = Vec::new();
         for algo in &self.algos {
             for &adversary in &self.adversaries {
@@ -607,27 +529,21 @@ impl Grid {
                 let adversary_key = adversary.to_string();
                 for &(p, t) in &self.shapes {
                     for &d in &self.ds {
-                        // The backend is deliberately absent from the
-                        // hash: sim-only grids keep their legacy seeds,
-                        // and both backends of a scenario share replicate
-                        // seeds (same algorithm randomness on each).
                         let mut h = fnv1a(algo.as_bytes(), 0xcbf2_9ce4_8422_2325);
                         h = fnv1a(adversary_key.as_bytes(), h);
                         h = fnv1a(&(p as u64).to_le_bytes(), h);
                         h = fnv1a(&(t as u64).to_le_bytes(), h);
                         h = fnv1a(&d.to_le_bytes(), h);
-                        for &backend in &backends {
-                            out.push(Cell {
-                                algo: algo.clone(),
-                                adversary,
-                                p,
-                                t,
-                                d,
-                                seeds: self.seeds,
-                                cell_seed: splitmix64(h ^ self.base_seed),
-                                backend,
-                            });
-                        }
+                        out.push(Cell {
+                            algo: algo.clone(),
+                            adversary,
+                            p,
+                            t,
+                            d,
+                            seeds: self.seeds,
+                            cell_seed: splitmix64(h ^ self.base_seed),
+                            backend: None,
+                        });
                     }
                 }
             }
@@ -649,21 +565,11 @@ impl fmt::Display for Grid {
             .iter()
             .map(AdversarySpec::to_string)
             .collect();
-        // An omitted backends axis renders as nothing at all, so legacy
-        // sim-only grids keep their exact pre-axis spelling (and parse ∘
-        // render stays the identity in both directions).
-        let backends = if self.backends.is_empty() {
-            String::new()
-        } else {
-            let tokens: Vec<&str> = self.backends.iter().map(|b| b.label()).collect();
-            format!(" backends={}", tokens.join(","))
-        };
         write!(
             f,
-            "algos={} advs={}{} shapes={} ds={} seeds={} seed={}",
+            "algos={} advs={} shapes={} ds={} seeds={} seed={}",
             self.algos.join(","),
             adversaries.join(","),
-            backends,
             shapes.join(","),
             ds.join(","),
             self.seeds,
@@ -939,73 +845,8 @@ mod tests {
         let grid = Grid::parse("algos=paran1 shapes=4x8").unwrap();
         assert_eq!(grid.adversaries, vec![AdversarySpec::Stage]);
         assert_eq!(grid.ds, vec![1]);
-        assert_eq!(grid.backends, Vec::new(), "omitted axis stays omitted");
         assert_eq!(grid.seeds, 1);
         assert_eq!(grid.base_seed, 0);
-    }
-
-    #[test]
-    fn backends_axis_round_trips_and_tags_cells() {
-        let spec = "algos=da:3 advs=unit,crash:25@burst backends=sim,threads shapes=8x32 ds=2 \
-                    seeds=2 seed=0";
-        let grid = Grid::parse(spec).unwrap();
-        assert_eq!(grid.backends, vec![Backend::Sim, Backend::Threads]);
-        assert_eq!(grid.to_string(), spec, "canonical spelling round-trips");
-        assert_eq!(Grid::parse(&grid.to_string()).unwrap(), grid);
-        // One cell per (scenario × backend), backend innermost.
-        let cells = grid.cells();
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0].backend, Some(Backend::Sim));
-        assert_eq!(cells[1].backend, Some(Backend::Threads));
-        assert_eq!(cells[0].effective_backend(), Backend::Sim);
-        assert_eq!(cells[1].effective_backend(), Backend::Threads);
-    }
-
-    #[test]
-    fn backends_axis_does_not_perturb_cell_seeds() {
-        // The backend is not hashed: a scenario's sim and threads cells
-        // share seeds with each other *and* with the legacy untagged cell,
-        // so sim-only baselines survive and e17's curves compare
-        // like-for-like randomness.
-        let legacy = Grid::parse("algos=paran1 advs=stage shapes=4x8 ds=2 seeds=3 seed=7").unwrap();
-        let tagged = Grid::parse(
-            "algos=paran1 advs=stage backends=sim,threads shapes=4x8 ds=2 seeds=3 seed=7",
-        )
-        .unwrap();
-        let (lc, tc) = (legacy.cells(), tagged.cells());
-        assert_eq!(lc.len(), 1);
-        assert_eq!(tc.len(), 2);
-        assert_eq!(lc[0].backend, None, "legacy cells stay untagged");
-        for cell in &tc {
-            assert_eq!(cell.cell_seed, lc[0].cell_seed);
-            assert_eq!(cell.run_seed(2), lc[0].run_seed(2));
-        }
-    }
-
-    #[test]
-    fn explicit_sim_only_backends_axis_is_kept_explicit() {
-        // `backends=sim` is not the same spec as no axis: it opts the grid
-        // into the extended record schema, so Display must not elide it.
-        let grid =
-            Grid::parse("algos=paran1 advs=unit backends=sim shapes=4x8 ds=1 seeds=1 seed=0")
-                .unwrap();
-        assert_eq!(
-            grid.to_string(),
-            "algos=paran1 advs=unit backends=sim shapes=4x8 ds=1 seeds=1 seed=0"
-        );
-        assert_eq!(grid.cells()[0].backend, Some(Backend::Sim));
-        assert_eq!(Grid::parse(&grid.to_string()).unwrap(), grid);
-    }
-
-    #[test]
-    fn backend_tokens_are_validated() {
-        assert_eq!(Backend::parse("sim").unwrap(), Backend::Sim);
-        assert_eq!(Backend::parse("threads").unwrap(), Backend::Threads);
-        let e = Backend::parse("gpu").unwrap_err().to_string();
-        assert!(
-            e.contains("sim|threads"),
-            "error names the legal tokens: {e}"
-        );
     }
 
     #[test]
@@ -1138,38 +979,34 @@ mod tests {
     #[test]
     fn grid_parse_rejects_garbage() {
         for bad in [
-            "algos=paran1",                                     // no shapes
-            "shapes=4x8",                                       // no algos
-            "algos=paran1 shapes=4",                            // bad shape
-            "algos=paran1 shapes=0x8",                          // zero p
-            "algos=paran1 shapes=4x8 ds=0",                     // zero d
-            "algos=paran1 shapes=4x8 seeds=0",                  // zero seeds
-            "algos=paran1 shapes=4x8 frob=1",                   // unknown field
-            "algos=paran1 shapes=4x8 ds",                       // not key=value
-            "algos=frobnicate shapes=4x8",                      // unknown algo
-            "algos=paran1 advs=frobnicate shapes=4x8",          // unknown adversary
-            "algos=da:99 shapes=4x8",                           // q out of range
-            "algos=gossip:0 shapes=4x8",                        // zero fanout
-            "algos=da:03 shapes=4x8",                           // two spellings of da:3
-            "algos=da:+3 shapes=4x8",                           // two spellings of da:3
-            "algos=gossip:02 shapes=4x8",                       // two spellings of gossip:2
-            "algos=paran1 advs=crash:101 shapes=4x8",           // pct > 100
-            "algos=paran1,paran1 shapes=4x8",                   // duplicate algo
-            "algos=paran1 advs=unit,unit shapes=4x8",           // duplicate adversary
-            "algos=paran1 shapes=4x8,4x8",                      // duplicate shape
-            "algos=paran1 shapes=4x8 ds=1,1",                   // duplicate d
-            "algos=paran1 advs=bursty:0 shapes=4x8",            // zero period
-            "algos=paran1 advs=crash:150@even shapes=4x8",      // pct > 100
-            "algos=paran1 advs=crash:25@late shapes=4x8",       // unknown stagger
-            "algos=paran1 advs=straggler:0:3 shapes=4x8",       // zero straggler pct
-            "algos=paran1 advs=straggler:25:1 shapes=4x8",      // no-op slowdown
-            "algos=paran1 advs=lb:0 shapes=4x8",                // zero stage length
-            "algos=paran1 shapes=4x8 backends=gpu",             // unknown backend
-            "algos=paran1 shapes=4x8 backends=",                // empty backend token
-            "algos=paran1 shapes=4x8 backends=threads,threads", // duplicate backend
-            "algos=paran1 shapes=4x8 backends=sim,threads,sim", // duplicate backend
-            "algos=paran1 algos=soloall shapes=4x8",            // algos given twice
-            "algos=paran1 shapes=4x8 seed=0 seed=1",            // seed given twice
+            "algos=paran1",                                // no shapes
+            "shapes=4x8",                                  // no algos
+            "algos=paran1 shapes=4",                       // bad shape
+            "algos=paran1 shapes=0x8",                     // zero p
+            "algos=paran1 shapes=4x8 ds=0",                // zero d
+            "algos=paran1 shapes=4x8 seeds=0",             // zero seeds
+            "algos=paran1 shapes=4x8 frob=1",              // unknown field
+            "algos=paran1 shapes=4x8 ds",                  // not key=value
+            "algos=frobnicate shapes=4x8",                 // unknown algo
+            "algos=paran1 advs=frobnicate shapes=4x8",     // unknown adversary
+            "algos=da:99 shapes=4x8",                      // q out of range
+            "algos=gossip:0 shapes=4x8",                   // zero fanout
+            "algos=da:03 shapes=4x8",                      // two spellings of da:3
+            "algos=da:+3 shapes=4x8",                      // two spellings of da:3
+            "algos=gossip:02 shapes=4x8",                  // two spellings of gossip:2
+            "algos=paran1 advs=crash:101 shapes=4x8",      // pct > 100
+            "algos=paran1,paran1 shapes=4x8",              // duplicate algo
+            "algos=paran1 advs=unit,unit shapes=4x8",      // duplicate adversary
+            "algos=paran1 shapes=4x8,4x8",                 // duplicate shape
+            "algos=paran1 shapes=4x8 ds=1,1",              // duplicate d
+            "algos=paran1 advs=bursty:0 shapes=4x8",       // zero period
+            "algos=paran1 advs=crash:150@even shapes=4x8", // pct > 100
+            "algos=paran1 advs=crash:25@late shapes=4x8",  // unknown stagger
+            "algos=paran1 advs=straggler:0:3 shapes=4x8",  // zero straggler pct
+            "algos=paran1 advs=straggler:25:1 shapes=4x8", // no-op slowdown
+            "algos=paran1 advs=lb:0 shapes=4x8",           // zero stage length
+            "algos=paran1 algos=soloall shapes=4x8",       // algos given twice
+            "algos=paran1 shapes=4x8 seed=0 seed=1",       // seed given twice
         ] {
             assert!(Grid::parse(bad).is_err(), "{bad} should fail");
         }

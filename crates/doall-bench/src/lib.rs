@@ -1,7 +1,10 @@
 //! The experiment harness: declarative scenario grids, a parallel sweep
 //! engine, machine-readable results, and the scenario-suite runner that
-//! executes the committed `scenarios/*.scn` files (every `e01`–`e17`
-//! experiment is such a file — data, not Rust).
+//! executes the committed `scenarios/*.scn` files (every `e01`–`e16`
+//! experiment is such a file — data, not Rust). Every cell runs on the
+//! discrete-event simulator; the real-threads runtime is checked by
+//! replaying its runs in that simulator (the repository's
+//! `tests/replay.rs`), not by a grid axis.
 //!
 //! One front end runs the suite: `doall test --suite <dir>`. It prints
 //! the pass/fail report (or diffs a baseline) on stdout and each

@@ -15,9 +15,7 @@
 //!   machine-dependent is ever serialized. Byte-identical output across
 //!   thread counts is a tested invariant.
 //! * **Canonical keys** — adversary spellings canonicalize through the
-//!   grid grammar in exactly one place ([`canonical_adversary`]), and
-//!   records without a `backend` field key as `"sim"`, so pre-backend
-//!   baselines keep matching.
+//!   grid grammar in exactly one place ([`canonical_adversary`]).
 
 use crate::grid::Cell;
 use crate::Table;
@@ -61,15 +59,14 @@ pub struct Record {
 
 impl Record {
     /// The record's cell identity — exactly the key parsing its rendered
-    /// JSON would produce (legacy untagged cells key as `sim`; the
-    /// in-memory adversary is structured, hence already canonical).
+    /// JSON would produce (the in-memory adversary is structured, hence
+    /// already canonical).
     #[must_use]
     pub fn key(&self) -> CellKey {
         CellKey {
             experiment: self.experiment.clone(),
             algo: self.cell.algo.clone(),
             adversary: self.cell.adversary.to_string(),
-            backend: self.cell.effective_backend().to_string(),
             p: self.cell.p as u64,
             t: self.cell.t as u64,
             d: self.cell.d,
@@ -139,22 +136,13 @@ impl ResultSet {
         let _ = writeln!(out, "  \"mode\": \"{}\",", json_escape(&self.mode));
         out.push_str("  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
-            // Backend-tagged cells (grids with an explicit `backends=`
-            // axis) carry a `backend` field; legacy sim-only records
-            // render exactly as before the axis existed, so committed
-            // baselines stay byte-identical.
-            let backend = match r.cell.backend {
-                Some(b) => format!("\"backend\": \"{b}\", "),
-                None => String::new(),
-            };
             let _ = write!(
                 out,
                 "    {{\"experiment\": \"{}\", \"algo\": \"{}\", \"adversary\": \"{}\", \
-                 {}\"p\": {}, \"t\": {}, \"d\": {}, \"seeds\": {}, \"metrics\": {{",
+                 \"p\": {}, \"t\": {}, \"d\": {}, \"seeds\": {}, \"metrics\": {{",
                 json_escape(&r.experiment),
                 json_escape(&r.cell.algo),
                 json_escape(&r.cell.adversary.to_string()),
-                backend,
                 r.cell.p,
                 r.cell.t,
                 r.cell.d,
@@ -173,30 +161,17 @@ impl ResultSet {
     }
 
     /// Renders the set as long-format CSV: one row per (cell, metric).
-    /// Backend-tagged result sets gain a `backend` column after
-    /// `adversary`; legacy sim-only sets keep the pre-axis header.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let tagged = self.records.iter().any(|r| r.cell.backend.is_some());
-        let mut out = String::from(if tagged {
-            "experiment,algo,adversary,backend,p,t,d,seeds,metric,value\n"
-        } else {
-            "experiment,algo,adversary,p,t,d,seeds,metric,value\n"
-        });
+        let mut out = String::from("experiment,algo,adversary,p,t,d,seeds,metric,value\n");
         for r in &self.records {
-            let backend = if tagged {
-                format!("{},", r.cell.effective_backend())
-            } else {
-                String::new()
-            };
             for (name, value) in &r.metrics {
                 let _ = writeln!(
                     out,
-                    "{},{},{},{}{},{},{},{},{},{}",
+                    "{},{},{},{},{},{},{},{},{}",
                     r.experiment,
                     r.cell.algo,
                     r.cell.adversary,
-                    backend,
                     r.cell.p,
                     r.cell.t,
                     r.cell.d,
@@ -223,7 +198,6 @@ impl ResultSet {
                 j += 1;
             }
             let group = &self.records[i..j];
-            let tagged = group.iter().any(|r| r.cell.backend.is_some());
             let metric_names: BTreeSet<&String> =
                 group.iter().flat_map(|r| r.metrics.keys()).collect();
             let mut headers = vec![
@@ -233,9 +207,6 @@ impl ResultSet {
                 "t".to_string(),
                 "d".to_string(),
             ];
-            if tagged {
-                headers.insert(2, "backend".to_string());
-            }
             headers.extend(metric_names.iter().map(|s| (*s).clone()));
             let mut table = Table::new(headers);
             for r in group {
@@ -246,9 +217,6 @@ impl ResultSet {
                     r.cell.t.to_string(),
                     r.cell.d.to_string(),
                 ];
-                if tagged {
-                    row.insert(2, r.cell.effective_backend().to_string());
-                }
                 for name in &metric_names {
                     row.push(match r.metrics.get(*name) {
                         Some(v) => crate::fmt(*v),
@@ -575,10 +543,6 @@ pub struct CellKey {
     pub algo: String,
     /// Adversary key.
     pub adversary: String,
-    /// Backend key (`"sim"` / `"threads"`); `"sim"` when the record
-    /// carries no `backend` field, so pre-backend baselines keep their
-    /// identities.
-    pub backend: String,
     /// Processors.
     pub p: u64,
     /// Tasks.
@@ -595,13 +559,7 @@ impl fmt::Display for CellKey {
             f,
             "{}/{} vs {} {}x{} d={} seeds={}",
             self.experiment, self.algo, self.adversary, self.p, self.t, self.d, self.seeds
-        )?;
-        // The default backend stays invisible, so legacy (sim-only)
-        // renderings are unchanged.
-        if self.backend != "sim" {
-            write!(f, " backend={}", self.backend)?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -677,12 +635,6 @@ fn record_from_json(
         experiment: as_str(field(record, "experiment", what)?, what)?.to_string(),
         algo: as_str(field(record, "algo", what)?, what)?.to_string(),
         adversary: canonical_adversary(&raw_adversary),
-        // Optional: absent on every pre-backend record (and on
-        // legacy, axis-omitted grids today), which keys as `sim`.
-        backend: match record.get("backend") {
-            Some(value) => as_str(value, what)?.to_string(),
-            None => "sim".to_string(),
-        },
         p: as_u64(field(record, "p", what)?, what)?,
         t: as_u64(field(record, "t", what)?, what)?,
         d: as_u64(field(record, "d", what)?, what)?,
@@ -834,38 +786,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_tagged_records_render_the_backend_everywhere() {
-        use crate::grid::Backend;
-        let mut sim = record("e17", "da:3", 2, 40.0);
-        sim.cell.backend = Some(Backend::Sim);
-        let mut threads = record("e17", "da:3", 2, 44.0);
-        threads.cell.backend = Some(Backend::Threads);
-        let set = ResultSet {
-            mode: "custom".to_string(),
-            records: vec![sim, threads],
-        };
-        let json = set.to_json();
-        assert!(json.contains("\"backend\": \"sim\""));
-        assert!(json.contains("\"backend\": \"threads\""));
-        let csv = set.to_csv();
-        assert!(csv.starts_with("experiment,algo,adversary,backend,p,t,d,seeds,metric,value\n"));
-        assert!(csv.contains("e17,da:3,stage,threads,4,16,2,2,mean_work,44"));
-        let tables = set.render_tables();
-        let lines: Vec<&str> = tables.lines().collect();
-        assert_eq!(lines.len(), 5, "header, rule, two rows, blank: {tables}");
-        assert!(
-            lines[0].starts_with("| algo | adversary | backend |"),
-            "{tables}"
-        );
-        assert!(lines[3].contains("| threads |"), "{tables}");
-        assert!(lines[3].contains(" 44.0 |"), "{tables}");
-        assert_eq!(lines[4], "");
-    }
-
-    #[test]
     fn untagged_records_render_the_legacy_schema() {
-        // No `backends=` axis ⇒ not a byte of output changes: the exact
-        // guarantee committed baselines rely on.
+        // One schema: no record carries a `backend` key and the CSV has
+        // no backend column, as in every committed baseline.
         let set = ResultSet {
             mode: "smoke".to_string(),
             records: vec![record("e01", "soloall", 1, 64.0)],

@@ -21,7 +21,7 @@
 //! assert work >= t
 //! assert ratio(work, t) <= 3.41
 //! assert agg max(ratio_quadratic) < 10
-//! assert [backend=sim] wall_clock_ms == 0
+//! assert [algo=paran1,d=2] work <= 2 * t
 //! assert mean_crashes_fired >= 1 when crash_count >= 1
 //! ```
 //!
@@ -39,8 +39,8 @@
 //!   in `min(m)` / `max(m)` / `mean(m)` / `sum(m)` over all cells
 //!   carrying the metric.
 //! * An optional `[key=value,…]` selector restricts either scope to
-//!   cells matching on `algo`, `adversary`, `backend`, `p`, `t`, or
-//!   `d` (adversaries by their canonical spelling).
+//!   cells matching on `algo`, `adversary`, `p`, `t`, or `d`
+//!   (adversaries by their canonical spelling).
 //! * Arithmetic is `+ - * /` with the usual precedence, parentheses,
 //!   and `ratio(a, b)` as a readable spelling of `a / b`. Division by
 //!   zero follows IEEE (and a NaN comparison fails the assertion).
@@ -376,7 +376,7 @@ pub struct Assertion {
 }
 
 /// Filter keys a `[key=value]` selector may match on.
-const FILTER_KEYS: &[&str] = &["algo", "adversary", "backend", "p", "t", "d"];
+const FILTER_KEYS: &[&str] = &["algo", "adversary", "p", "t", "d"];
 
 impl Assertion {
     /// Parses one assertion line (everything after a leading `assert`
@@ -433,7 +433,6 @@ impl Assertion {
             let actual = match key.as_str() {
                 "algo" => cell.algo.clone(),
                 "adversary" => cell.adversary.to_string(),
-                "backend" => cell.effective_backend().to_string(),
                 "p" => cell.p.to_string(),
                 "t" => cell.t.to_string(),
                 _ => cell.d.to_string(),
@@ -1087,7 +1086,7 @@ assert agg max(ratio_quadratic) < 10
             "assert mean_crashes_fired >= 1 when crash_count >= 1",
             "assert messages <= 3 * p * t",
             "assert agg max(ratio_threshold) < 1",
-            "assert [backend=sim] wall_clock_ms == 0",
+            "assert [adversary=stage,d=4] work >= t",
             "assert [algo=paran1,p=8] work != 0",
             "assert work <= dcont + p when dcont_exact == 1",
             "assert agg mean(ratio_quadratic) / 2 > 0.1",

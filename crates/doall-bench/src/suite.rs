@@ -131,7 +131,7 @@ pub enum FailureKind {
     /// The comparison evaluated and did not hold; `cell` names the exact
     /// offending cell for per-cell assertions (`None` for aggregates).
     Violated {
-        /// `algo=… adversary=… backend=… p=… t=… d=… seeds=… seed=…`.
+        /// `algo=… adversary=… p=… t=… d=… seeds=… seed=…`.
         cell: Option<String>,
         /// Observed left-hand value.
         lhs: f64,
@@ -191,15 +191,8 @@ impl fmt::Display for AssertionFailure {
 #[must_use]
 pub fn cell_label(cell: &Cell) -> String {
     format!(
-        "algo={} adversary={} backend={} p={} t={} d={} seeds={} seed={:#018x}",
-        cell.algo,
-        cell.adversary,
-        cell.effective_backend(),
-        cell.p,
-        cell.t,
-        cell.d,
-        cell.seeds,
-        cell.cell_seed
+        "algo={} adversary={} p={} t={} d={} seeds={} seed={:#018x}",
+        cell.algo, cell.adversary, cell.p, cell.t, cell.d, cell.seeds, cell.cell_seed
     )
 }
 
@@ -349,8 +342,8 @@ pub fn run_suite(scenarios: &[Scenario], cfg: &SuiteConfig) -> Result<SuiteRepor
 /// Renders the human view of a suite run, one section per scenario in
 /// `scenarios` order: a `## id — title` header, the setup line, a
 /// Markdown table of the scenario's records in `results`, and its notes.
-/// `threads`-backend rows carry measured values that differ from run to
-/// run, so this view is for reading, never for diffing.
+/// This view is for reading; the report and the records are what a
+/// baseline diffs.
 #[must_use]
 pub fn render_sections(scenarios: &[Scenario], results: &ResultSet) -> String {
     let mut out = String::new();
@@ -535,7 +528,6 @@ mod tests {
         for needle in [
             "algo=soloall",
             "adversary=unit",
-            "backend=sim",
             "p=4",
             "t=8",
             "d=1",
@@ -617,8 +609,7 @@ mod tests {
         );
         let b = scenario(
             "id = b\ntitle = Beta\nsetup = beta setup\nnotes = beta notes\n\
-             grid = algos=paran1 advs=unit backends=sim,threads shapes=2x4 ds=1 seeds=1 \
-             seed=0\n\
+             grid = algos=paran1 advs=fixed shapes=2x4 ds=2 seeds=1 seed=0\n\
              assert work >= t\n",
         );
         let scenarios = [a, b];
@@ -645,10 +636,10 @@ mod tests {
             let rules = section.lines().filter(|l| l.starts_with("|-")).count();
             assert_eq!(rules, 1, "one table per section: {section}");
         }
-        assert!(sections[0].lines().all(|l| !l.contains("threads")));
-        assert!(sections[1].contains("| threads |"), "{}", sections[1]);
+        assert!(sections[0].lines().all(|l| !l.contains("fixed")));
+        assert!(sections[1].contains(" fixed |"), "{}", sections[1]);
         let report_text = report.render_table();
-        for needle in ["## ", "Alpha", "beta setup", "beta notes", "threads"] {
+        for needle in ["## ", "Alpha", "beta setup", "beta notes", "fixed"] {
             assert!(!report_text.contains(needle), "{report_text}");
         }
     }

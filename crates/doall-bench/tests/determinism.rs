@@ -7,8 +7,7 @@
 //! combination must render byte-identical JSON/CSV, trace mode included.
 //! These tests run the library path the `doall` CLI's flags feed into.
 
-use doall_bench::compare::MEASURED_ONLY_METRICS;
-use doall_bench::grid::{Backend, Grid};
+use doall_bench::grid::Grid;
 use doall_bench::resultset::{Record, ResultSet};
 use doall_bench::sweep::{run_cells, run_cells_with_stats, SweepConfig};
 
@@ -152,122 +151,6 @@ fn single_cell_grids_schedule_multiple_shards() {
     )
     .expect("grid runs");
     assert_eq!(fine.shards, 7);
-}
-
-#[test]
-fn explicit_sim_axis_changes_schema_but_not_results() {
-    // `backends=sim` opts the grid into the extended schema (backend tags,
-    // zero-valued measured-only metrics) but must not move a single
-    // simulated number: cell seeds ignore the backend axis entirely.
-    let legacy =
-        Grid::parse("algos=paran1,da:2 advs=stage,crash:50@front shapes=4x8 ds=2 seeds=3 seed=11")
-            .expect("valid grid");
-    let tagged = Grid::parse(
-        "algos=paran1,da:2 advs=stage,crash:50@front backends=sim shapes=4x8 ds=2 seeds=3 seed=11",
-    )
-    .expect("valid grid");
-    let cfg = SweepConfig::default();
-    let legacy_runs = run_cells(&legacy.cells(), &cfg).expect("legacy grid runs");
-    let tagged_runs = run_cells(&tagged.cells(), &cfg).expect("tagged grid runs");
-    assert_eq!(legacy_runs.len(), tagged_runs.len());
-    for (l, t) in legacy_runs.iter().zip(&tagged_runs) {
-        assert_eq!(l.cell.backend, None, "legacy cells stay untagged");
-        assert_eq!(t.cell.backend, Some(Backend::Sim));
-        let lm = l.metrics();
-        let mut tm = t.metrics();
-        for key in MEASURED_ONLY_METRICS {
-            match tm.remove(*key) {
-                Some(v) => assert_eq!(v, 0.0, "{key} must be zero under sim"),
-                None => assert_eq!(
-                    l.cell.algo, "none",
-                    "{key} missing on a tagged measuring cell"
-                ),
-            }
-            assert!(!lm.contains_key(*key), "{key} leaked into legacy schema");
-        }
-        assert_eq!(lm, tm, "sim results diverged for cell `{}`", l.cell.algo);
-    }
-}
-
-#[test]
-fn mixed_backend_grids_keep_sim_cells_byte_identical() {
-    // Satellite invariant: adding real-thread cells to a grid must not
-    // perturb its sim cells, whatever the harness parallelism. Threads
-    // cells are excluded from the byte comparison — their wall-clock
-    // metrics are measurements, not computations.
-    let grid = Grid::parse(
-        "algos=paran1 advs=unit,crash:50 backends=sim,threads shapes=2x8 ds=2 seeds=2 seed=5",
-    )
-    .expect("valid grid");
-    let render_sim = |threads: usize, shard_size: Option<u64>| {
-        let measurements = run_cells(
-            &grid.cells(),
-            &SweepConfig {
-                threads,
-                shard_size,
-                ..SweepConfig::default()
-            },
-        )
-        .expect("mixed grid runs");
-        let records: Vec<Record> = measurements
-            .into_iter()
-            .filter(|m| m.cell.effective_backend() == Backend::Sim)
-            .map(|m| Record {
-                experiment: "determinism".to_string(),
-                metrics: m.metrics(),
-                cell: m.cell,
-            })
-            .collect();
-        assert_eq!(records.len(), 2, "one sim record per scenario");
-        ResultSet {
-            mode: "custom".to_string(),
-            records,
-        }
-        .to_json()
-    };
-    let baseline = render_sim(1, None);
-    for threads in [1, 8] {
-        for shard_size in [Some(1), None] {
-            assert_eq!(
-                render_sim(threads, shard_size),
-                baseline,
-                "threads={threads} shard_size={shard_size:?} moved a sim byte"
-            );
-        }
-    }
-}
-
-#[test]
-fn threads_backend_does_real_work_and_fires_crashes() {
-    // The smoke contract for the measured substrate: every processor
-    // steps at least once (W ≥ t is impossible to fake), the crash
-    // adversary actually kills workers, and wall-clock time is real.
-    let grid =
-        Grid::parse("algos=paran1 advs=crash:50 backends=threads shapes=4x16 ds=2 seeds=2 seed=3")
-            .expect("valid grid");
-    let measurements =
-        run_cells(&grid.cells(), &SweepConfig::default()).expect("threads grid runs");
-    for m in &measurements {
-        let metrics = m.metrics();
-        assert!(
-            metrics["mean_work"] >= m.cell.t as f64,
-            "threads cell did less work ({}) than tasks ({})",
-            metrics["mean_work"],
-            m.cell.t
-        );
-        assert!(
-            metrics["crash_count"] >= 1.0,
-            "crash:50 over p=4 must schedule at least one crash"
-        );
-        assert!(
-            metrics["wall_clock_ms"] > 0.0,
-            "real threads take real time"
-        );
-        assert_eq!(
-            metrics["completed"], grid.seeds as f64,
-            "every replicate finished"
-        );
-    }
 }
 
 #[test]

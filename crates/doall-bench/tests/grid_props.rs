@@ -7,7 +7,7 @@
 //! re-parses differently or expands to duplicate cells would silently
 //! corrupt results).
 
-use doall_bench::grid::{AdversarySpec, Backend, CrashStagger, Grid};
+use doall_bench::grid::{AdversarySpec, CrashStagger, Grid};
 use proptest::prelude::*;
 
 /// Every algorithm key the grid language accepts, including the
@@ -84,21 +84,9 @@ fn dedup_keep_order<T: Clone + Ord>(values: &[T]) -> Vec<T> {
         .collect()
 }
 
-/// The backends axis drawn from a 2-bit mask: `0` is the legacy
-/// axis-omitted grid, the rest are every explicit non-empty subset.
-fn backend_subset(mask: u32) -> Vec<Backend> {
-    [Backend::Sim, Backend::Threads]
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| mask & (1 << i) != 0)
-        .map(|(_, b)| b)
-        .collect()
-}
-
 fn arbitrary_grid(
     algo_mask: u32,
     adv_mask: u32,
-    backend_mask: u32,
     raw_shapes: &[(usize, usize)],
     raw_ds: &[u64],
     seeds: u64,
@@ -109,7 +97,6 @@ fn arbitrary_grid(
         adversaries: adversary_subset(adv_mask),
         shapes: dedup_keep_order(raw_shapes),
         ds: dedup_keep_order(raw_ds),
-        backends: backend_subset(backend_mask),
         seeds,
         base_seed,
     }
@@ -123,24 +110,14 @@ proptest! {
     fn parse_display_round_trips(
         algo_mask in 1u32..(1 << ALGO_POOL.len()),
         adv_mask in 1u32..(1 << ADV_POOL.len()),
-        backend_mask in 0u32..4,
         raw_shapes in prop::collection::vec((1usize..=64, 1usize..=512), 1..6),
         raw_ds in prop::collection::vec(1u64..=256, 1..6),
         seeds in 1u64..=50,
         base_seed in any::<u64>(),
     ) {
-        let grid = arbitrary_grid(
-            algo_mask, adv_mask, backend_mask, &raw_shapes, &raw_ds, seeds, base_seed,
-        );
+        let grid = arbitrary_grid(algo_mask, adv_mask, &raw_shapes, &raw_ds, seeds, base_seed);
         prop_assert!(grid.validate().is_ok(), "constructed grids are valid: {grid}");
         let spec = grid.to_string();
-        // The default (legacy) axis is omitted from the rendering; any
-        // explicit axis — even a sim-only one — is kept explicit.
-        prop_assert_eq!(
-            spec.contains("backends="),
-            !grid.backends.is_empty(),
-            "backends axis rendering for `{}`", spec
-        );
         let reparsed = Grid::parse(&spec);
         prop_assert!(reparsed.is_ok(), "canonical spec `{spec}` must parse");
         let reparsed = reparsed.unwrap();
@@ -209,16 +186,13 @@ proptest! {
     fn duplicate_axis_values_are_rejected(
         algo_mask in 1u32..(1 << ALGO_POOL.len()),
         adv_mask in 1u32..(1 << ADV_POOL.len()),
-        backend_mask in 0u32..4,
         raw_shapes in prop::collection::vec((1usize..=64, 1usize..=512), 1..5),
         raw_ds in prop::collection::vec(1u64..=256, 1..5),
-        axis in 0usize..5,
+        axis in 0usize..4,
         pick in any::<u64>(),
         seeds in 1u64..=50,
     ) {
-        let good = arbitrary_grid(
-            algo_mask, adv_mask, backend_mask, &raw_shapes, &raw_ds, seeds, 0,
-        );
+        let good = arbitrary_grid(algo_mask, adv_mask, &raw_shapes, &raw_ds, seeds, 0);
         let mut bad = good.clone();
         // Duplicate one existing element of the chosen axis.
         match axis {
@@ -234,18 +208,9 @@ proptest! {
                 let v = bad.shapes[pick as usize % bad.shapes.len()];
                 bad.shapes.push(v);
             }
-            3 => {
+            _ => {
                 let v = bad.ds[pick as usize % bad.ds.len()];
                 bad.ds.push(v);
-            }
-            _ => {
-                // A legacy grid has no backend to duplicate — make the
-                // axis explicit first, then double it.
-                if bad.backends.is_empty() {
-                    bad.backends.push(Backend::Sim);
-                }
-                let v = bad.backends[pick as usize % bad.backends.len()];
-                bad.backends.push(v);
             }
         }
         let err = bad.validate();
@@ -292,20 +257,24 @@ fn malformed_adversary_knobs_are_rejected_with_useful_errors() {
 
 #[test]
 fn malformed_backend_tokens_are_rejected_with_useful_errors() {
-    for (bad, needle) in [
-        ("backends=gpu", "unknown backend"),
-        ("backends=Sim", "unknown backend"),
-        ("backends=", "unknown backend"),
-        ("backends=threads,threads", "duplicate"),
+    // Every cell runs on the simulator, so no `backends=` token is well
+    // formed: the field itself is unknown.
+    for bad in [
+        "backends=gpu",
+        "backends=Sim",
+        "backends=",
+        "backends=threads,threads",
+        "backends=sim",
+        "backends=sim,threads",
     ] {
         let e = Grid::parse(&format!("algos=paran1 advs=unit shapes=4x8 {bad}"))
             .expect_err(&format!("`{bad}` should fail"))
             .to_string();
-        assert!(e.contains(needle), "`{bad}` error `{e}` lacks `{needle}`");
+        assert!(
+            e.contains("unknown grid field `backends`"),
+            "`{bad}` error `{e}`"
+        );
     }
-    // The valid tokens, and only those, parse.
-    assert_eq!(Backend::parse("sim").unwrap(), Backend::Sim);
-    assert_eq!(Backend::parse("threads").unwrap(), Backend::Threads);
 }
 
 #[test]

@@ -87,7 +87,7 @@ fn fuzz<T, E: std::fmt::Debug>(input: &str, rounds: usize, parse: fn(&str) -> Re
 #[test]
 fn grid_specs_never_panic() {
     let spec = "algos=da:3,paran1,gossip:2 advs=stage,bursty:4,lb:2,crash:25@burst,straggler:25:4 \
-                backends=sim,threads shapes=8x32,16x64 ds=1,4 seeds=3 seed=5";
+                shapes=8x32,16x64 ds=1,4 seeds=3 seed=5";
     fuzz(spec, 10_000, |spec| {
         Grid::parse(spec).map(|grid| grid.cells())
     });

@@ -40,7 +40,6 @@ const FILTER_POOL: &[(&str, &str)] = &[
     ("algo", "paran1"),
     ("algo", "da:3"),
     ("adversary", "crash:25@burst"),
-    ("backend", "sim"),
     ("p", "8"),
     ("t", "32"),
     ("d", "4"),
@@ -115,7 +114,6 @@ fn arbitrary_grid(g: &mut Gene) -> Grid {
             .collect(),
         shapes: dedup_keep_order(&shapes),
         ds: dedup_keep_order(&ds),
-        backends: Vec::new(),
         seeds: 1 + g.next() % 10,
         base_seed: g.next(),
     }

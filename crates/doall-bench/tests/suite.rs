@@ -1,5 +1,5 @@
 //! End-to-end suite tests: the committed `scenarios/` directory is the
-//! paper's experiment suite (e01–e17), its smoke run reproduces the
+//! paper's experiment suite (e01–e16), its smoke run reproduces the
 //! committed `BENCH_smoke_baseline.json`, suite output is byte-identical
 //! across worker counts, shard sizes, and directory-listing order, and
 //! the `examples/lb_stage.scn` walkthrough scenario runs clean.
@@ -24,21 +24,19 @@ fn smoke_cfg() -> SuiteConfig {
     }
 }
 
-/// The committed suite holds exactly the seventeen paper experiments,
+/// The committed suite holds exactly the sixteen paper experiments,
 /// in sorted-path (= registry) order.
 #[test]
-fn committed_suite_loads_seventeen_experiments() {
+fn committed_suite_loads_sixteen_experiments() {
     let scenarios = load_dir(&scenarios_dir()).expect("committed suite loads");
     let ids: Vec<&str> = scenarios.iter().map(|s| s.id.as_str()).collect();
-    let expected: Vec<String> = (1..=17).map(|i| format!("e{i:02}")).collect();
+    let expected: Vec<String> = (1..=16).map(|i| format!("e{i:02}")).collect();
     assert_eq!(ids, expected);
 }
 
 /// The acceptance gate of the registry-to-loader refactor: running the
 /// committed suite in smoke mode reproduces `BENCH_smoke_baseline.json`
-/// — byte-exactly for every `sim` cell, and clean under the tolerance-0
-/// comparator overall (`threads` cells carry OS-scheduling-dependent
-/// counts, so the comparator gates their presence, not their values).
+/// byte for byte, and clean under the tolerance-0 comparator.
 #[test]
 fn committed_suite_reproduces_the_smoke_baseline() {
     let scenarios = load_dir(&scenarios_dir()).unwrap();
@@ -51,21 +49,19 @@ fn committed_suite_reproduces_the_smoke_baseline() {
     let baseline_path = repo_root().join("BENCH_smoke_baseline.json");
     let baseline_text = std::fs::read_to_string(&baseline_path).unwrap();
 
-    // Comparator gate: 197 cells, tolerance 0, no drift in any metric
-    // the schema calls deterministic.
+    // Comparator gate: 193 cells, tolerance 0, no drift in any metric.
     let baseline = parse_result_set(&baseline_text).unwrap();
     let current = BaselineSet::of(&report.results);
     let comparison = compare(&baseline, &current, 0.0);
     assert!(comparison.is_clean(), "{}", comparison.render_text());
-    assert_eq!(comparison.exact, 197);
+    assert_eq!(comparison.exact, 193);
 
-    // Byte gate: every line not carrying a threads-backend record is
-    // byte-identical to the committed baseline.
-    let ours = report.results.to_json();
-    let keep = |line: &&str| !line.contains("\"backend\": \"threads\"");
-    let ours: Vec<&str> = ours.lines().filter(keep).collect();
-    let theirs: Vec<&str> = baseline_text.lines().filter(keep).collect();
-    assert_eq!(ours, theirs, "sim records must be byte-exact");
+    // Byte gate: the rendered result set is the committed file.
+    assert_eq!(
+        report.results.to_json(),
+        baseline_text,
+        "records must be byte-exact"
+    );
 }
 
 /// Determinism contract: the merged result set is byte-identical across
@@ -213,7 +209,6 @@ fn suite_failures_name_the_exact_cell_in_the_rendered_table() {
         "FAIL f: `assert work <= 1` violated at (",
         "algo=soloall",
         "adversary=unit",
-        "backend=sim",
         "p=4",
         "t=8",
         "d=2",

@@ -10,18 +10,23 @@
 //! parallelism — preemption, cache effects, real race timings — none of
 //! which the algorithms may rely on or be broken by.
 //!
-//! Complexity *measurement* stays in the simulator (wall-clock
-//! nondeterminism makes exact step accounting meaningless here); this
-//! runner reports the same [`RunReport`] shape with best-effort counts, and
-//! its `completed` flag is checked against ground truth collected from the
-//! actual task executions.
+//! Every run also records a *linearization*: each step takes a number
+//! from one shared counter right after it drains its inbox, and every
+//! message carries its sender's number ([`RunOutcome::steps`],
+//! [`RunOutcome::drained`], [`RunOutcome::sigma_step`]). Stepping one
+//! processor per tick in that order, with each message delayed by its
+//! drained step minus its sent step, is an execution of the simulator's
+//! model: the repository's `tests/replay.rs` replays hundreds of runs in
+//! `doall-sim` and checks that they charge the same per-processor work,
+//! messages and σ step. The report's `completed` flag is checked against
+//! ground truth collected from the actual task executions.
 //!
 //! # Module map
 //!
 //! - `scheduler` *(private)* — the worker loop: one scoped OS thread per
 //!   processor stepping its state machine, holding delayed messages until
 //!   they are due, executing task bodies, joining counts into a
-//!   [`RunReport`].
+//!   [`RunReport`] and the numbered steps into the linearization.
 //! - [`fault`] — rejected setups ([`RuntimeError`]) and the engine-side
 //!   accounting of crashed workers ([`RuntimeStats`]).
 //!
@@ -69,13 +74,13 @@
 pub mod fault;
 #[allow(
     clippy::disallowed_methods,
-    reason = "D002/D004: due times, deadlines, pacing and inbox drains are wall-clock and arrival-order by design; they feed only measured-only metrics"
+    reason = "D002/D004: due times, deadlines, pacing and inbox drains are wall-clock and arrival-order by design; no result record reads this crate"
 )]
 mod scheduler;
 
 pub use fault::{RuntimeError, RuntimeStats};
 
-use doall_core::{DoAllProcess, Instance, RunReport, TaskId};
+use doall_core::{DoAllProcess, Instance, ProcId, RunReport, TaskId};
 use std::time::Duration;
 
 /// Configuration of a threaded run.
@@ -123,16 +128,53 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// What a threaded run produced: the algorithm-level [`RunReport`] plus
-/// the harness's own accounting ([`RuntimeStats`]).
+/// What a threaded run produced: the algorithm-level [`RunReport`], the
+/// harness's own accounting ([`RuntimeStats`]) and the run's
+/// linearization.
 #[derive(Debug)]
 pub struct RunOutcome {
     /// Work / message counts, completion, and elapsed time (µs in
-    /// `sigma`) — the same shape the simulator reports.
+    /// `sigma`) — the same shape the simulator reports. It counts every
+    /// step, including those other workers took after σ.
     pub report: RunReport,
     /// Engine-side accounting (crashed-inbox draining), never part of
     /// the report.
     pub stats: RuntimeStats,
+    /// Every step of the run, by number: step `k` is `steps[k]`. A step
+    /// takes its number right after its inbox is drained, so every
+    /// message it read was sent by a lower-numbered step.
+    pub steps: Vec<LoggedStep>,
+    /// Every message a step read, ordered by the step that read it. A
+    /// message that no step read (its recipient crashed, the run ended,
+    /// or its due time was never reached) is not listed.
+    pub drained: Vec<Drain>,
+    /// The first step after which its processor knew every task was
+    /// done: σ as a step number. `None` when no processor ever did.
+    pub sigma_step: Option<u64>,
+}
+
+/// One step of a threaded run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoggedStep {
+    /// The processor that stepped.
+    pub pid: ProcId,
+    /// The messages it sent: one per recipient other than itself,
+    /// charged per Definition 2.2 whether or not one is ever read.
+    pub sent: u64,
+}
+
+/// One message a step read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Drain {
+    /// Its sender.
+    pub from: ProcId,
+    /// Its recipient.
+    pub to: ProcId,
+    /// The number of the step that sent it.
+    pub sent: u64,
+    /// The number of the recipient's step whose inbox held it; always
+    /// above `sent`.
+    pub drained: u64,
 }
 
 /// Runs `procs` on `p` OS threads until some processor knows all tasks
@@ -366,7 +408,7 @@ mod tests {
             step_interval: Duration::from_micros(100),
             ..Default::default()
         };
-        let RunOutcome { report, stats } = run(instance, procs, &config, &|_| {}).unwrap();
+        let RunOutcome { report, stats, .. } = run(instance, procs, &config, &|_| {}).unwrap();
         assert!(report.completed, "{report}");
         assert!(
             stats.crashed_drained > 0,
@@ -380,6 +422,47 @@ mod tests {
         // A run without crashes drains nothing.
         let clean = run_default(Instance::new(2, 10).unwrap(), sweeps(2, 10)).unwrap();
         assert_eq!(clean.stats, RuntimeStats::default());
+    }
+
+    #[test]
+    fn linearization_numbers_every_step_and_message() {
+        let t = 40;
+        let procs: Vec<Box<dyn DoAllProcess>> = (0..3)
+            .map(|i| {
+                Box::new(ChattySweep {
+                    pid: ProcId::new(i),
+                    next: 0,
+                    t,
+                }) as Box<dyn DoAllProcess>
+            })
+            .collect();
+        let config = RuntimeConfig {
+            step_interval: Duration::from_micros(20),
+            ..Default::default()
+        };
+        let outcome = run(Instance::new(3, t).unwrap(), procs, &config, &|_| {}).unwrap();
+        let report = &outcome.report;
+        assert!(report.completed, "{report}");
+        // One numbered step per unit of work, charged to its processor.
+        assert_eq!(outcome.steps.len() as u64, report.work);
+        for (pid, &work) in report.work_per_processor.iter().enumerate() {
+            let logged = outcome.steps.iter().filter(|s| s.pid.index() == pid);
+            assert_eq!(logged.count() as u64, work, "processor {pid}");
+        }
+        let sent: u64 = outcome.steps.iter().map(|s| s.sent).sum();
+        assert_eq!(sent, report.messages);
+        // Every read message names a step of its sender before a step of
+        // its recipient.
+        for m in &outcome.drained {
+            assert!(m.sent < m.drained, "{m:?}");
+            assert_eq!(outcome.steps[m.sent as usize].pid, m.from, "{m:?}");
+            assert_eq!(outcome.steps[m.drained as usize].pid, m.to, "{m:?}");
+        }
+        // A sweep knows it is done after its t-th step.
+        let sigma = outcome.sigma_step.expect("some processor finished") as usize;
+        let finisher = outcome.steps[sigma].pid;
+        let before = outcome.steps[..=sigma].iter().filter(|s| s.pid == finisher);
+        assert_eq!(before.count(), t);
     }
 
     #[test]

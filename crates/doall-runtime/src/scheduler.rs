@@ -1,28 +1,39 @@
 //! Worker scheduling: one scoped OS thread per processor stepping its
 //! state machine, plus the run orchestration that joins everything back
-//! into a `RunReport`.
+//! into a `RunReport` and the run's linearization.
 //!
 //! Delivery is the simulator's rule on wall-clock time. A sender stamps
 //! each envelope with its due time (now plus a seeded random share of
-//! `max_delay`) and puts it on the recipient's channel at once; the
-//! recipient keeps arrivals in a local `held` list and passes only the
-//! due ones to `step` ([`take_due`]).
+//! `max_delay`) and its own step number, and puts it on the recipient's
+//! channel at once; the recipient keeps arrivals in a local `held` list
+//! and passes only the due ones to `step` ([`take_due`]).
+//!
+//! Every step takes its number from one shared counter right after its
+//! inbox is drained. A message is sent after its sender took a number
+//! and received before its recipient takes one, so the recipient's
+//! number is the larger: numbering the steps this way orders the run as
+//! one sequence in which every message is read after it was sent.
 //!
 //! [`crate::run`] validates the inputs (one state machine per processor,
 //! legal crash budgets and pace overrides), so this module contains no
 //! policy — only mechanism.
 
-use crate::{RunOutcome, RuntimeConfig, RuntimeStats};
+use crate::{Drain, LoggedStep, RunOutcome, RuntimeConfig, RuntimeStats};
 use doall_core::{BitSet, DoAllProcess, Instance, Message, ProcId, RunReport, TaskId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A message stamped with the instant its recipient may first read it.
-type Envelope = (Instant, Message);
+/// A message stamped with the instant its recipient may first read it
+/// and the number of the step that sent it.
+struct Envelope {
+    due: Instant,
+    sent: u64,
+    msg: Message,
+}
 
 /// What every worker of one run reads, borrowed by its scoped thread.
 struct Shared<'a> {
@@ -32,6 +43,8 @@ struct Shared<'a> {
     senders: Vec<Sender<Envelope>>,
     /// Set once some worker knows every task is done; all then stop.
     done: AtomicBool,
+    /// The number the next step takes.
+    next_step: AtomicU64,
     /// The tasks some body actually ran. Every update is one `insert`, so
     /// the set stays valid if a worker panics holding the lock: both lock
     /// sites recover a poisoned guard.
@@ -58,6 +71,7 @@ pub(crate) fn execute(
         body,
         senders,
         done: AtomicBool::new(false),
+        next_step: AtomicU64::new(0),
         ground_truth: Mutex::new(BitSet::new(instance.tasks())),
         deadline: start.checked_add(config.timeout),
     };
@@ -90,22 +104,45 @@ pub(crate) fn execute(
     let completed = shared.done.load(Ordering::Acquire) && all_done;
     let sigma = completed.then(|| u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
     let report = RunReport {
-        work: counts.iter().map(|c| c.steps).sum(),
-        messages: counts.iter().map(|c| c.sent).sum(),
+        work: counts.iter().map(|c| c.steps.len() as u64).sum(),
+        messages: counts
+            .iter()
+            .flat_map(|c| &c.steps)
+            .map(|(_, s)| s.sent)
+            .sum(),
         sigma,
         completed,
-        work_per_processor: counts.iter().map(|c| c.steps).collect(),
+        work_per_processor: counts.iter().map(|c| c.steps.len() as u64).collect(),
         primary_executions: counts.iter().map(|c| c.primary).sum(),
         secondary_executions: counts.iter().map(|c| c.secondary).sum(),
     };
-    RunOutcome { report, stats }
+    let sigma_step = counts.iter().filter_map(|c| c.informed).min();
+    let (mut steps, mut drained) = (Vec::new(), Vec::new());
+    for worker in counts {
+        steps.extend(worker.steps);
+        drained.extend(worker.drained);
+    }
+    // The numbers run from 0 without a gap: each was taken by one step.
+    steps.sort_unstable_by_key(|&(k, _)| k);
+    drained.sort_unstable_by_key(|m: &Drain| (m.drained, m.sent));
+    RunOutcome {
+        report,
+        stats,
+        steps: steps.into_iter().map(|(_, step)| step).collect(),
+        drained,
+        sigma_step,
+    }
 }
 
 /// What one worker counted over its run.
 #[derive(Default)]
 struct WorkerCounts {
-    steps: u64,
-    sent: u64,
+    /// Each step's number and record, in the worker's own order.
+    steps: Vec<(u64, LoggedStep)>,
+    /// The messages its steps read.
+    drained: Vec<Drain>,
+    /// The number of the step after which it knew every task was done.
+    informed: Option<u64>,
     /// Performances that first inserted their task into the ground truth.
     primary: u64,
     secondary: u64,
@@ -113,8 +150,9 @@ struct WorkerCounts {
 }
 
 impl Shared<'_> {
-    /// Processor `pid`'s loop. Returns its steps, the messages it sent,
-    /// its primary and secondary executions, and what it drained while
+    /// Processor `pid`'s loop. Returns its numbered steps, the messages
+    /// they read, the step after which it knew every task was done, its
+    /// primary and secondary executions, and what it drained while
     /// crashed.
     fn worker(
         &self,
@@ -135,12 +173,13 @@ impl Shared<'_> {
         let mut counts = WorkerCounts::default();
         let mut held: Vec<Envelope> = Vec::new();
         let mut inbox: Vec<Message> = Vec::new();
+        let mut sent_by: Vec<u64> = Vec::new();
         loop {
             let now = Instant::now();
             if self.done.load(Ordering::Acquire) || self.deadline.is_some_and(|d| now >= d) {
                 break;
             }
-            if budget.is_some_and(|b| counts.steps >= b) {
+            if budget.is_some_and(|b| counts.steps.len() as u64 >= b) {
                 // Crashed: stop stepping, but drain and drop the channel
                 // each wake, since peers keep sending into it. Never
                 // reading a message is exactly the infinite-delay model.
@@ -152,9 +191,24 @@ impl Shared<'_> {
             }
             held.extend(rx.try_iter());
             inbox.clear();
-            take_due(&mut held, now, &mut inbox);
+            sent_by.clear();
+            take_due(&mut held, now, &mut inbox, &mut sent_by);
+            // Relaxed is enough: the number publishes no data, and every
+            // increment of one atomic reads the latest value in its
+            // modification order, which follows the channel's
+            // send-before-receive. So each message read here was sent by
+            // a step with a lower number.
+            let step = self.next_step.fetch_add(1, Ordering::Relaxed);
+            counts
+                .drained
+                .extend(inbox.iter().zip(&sent_by).map(|(msg, &sent)| Drain {
+                    from: msg.from(),
+                    to: ProcId::new(pid),
+                    sent,
+                    drained: step,
+                }));
             let outcome = proc_.step(&inbox);
-            counts.steps += 1;
+            let mut sent = 0;
             if let Some(task) = outcome.performed {
                 (self.body)(task);
                 let first = self
@@ -175,7 +229,7 @@ impl Shared<'_> {
                 };
                 let sent_at = Instant::now();
                 for to in recipients.into_iter().filter(|&to| to != pid && to < p) {
-                    counts.sent += 1;
+                    sent += 1;
                     let delay = config.max_delay.as_secs_f64() * rng.random::<f64>();
                     // A due time past what `Instant` can represent is
                     // never reached: the message stays in flight for
@@ -189,10 +243,22 @@ impl Shared<'_> {
                     let msg = Message::new(ProcId::new(pid), Arc::clone(&bits));
                     // A recipient that has left its loop has dropped its
                     // receiver; the send is moot.
-                    let _ = self.senders[to].send((due, msg));
+                    let _ = self.senders[to].send(Envelope {
+                        due,
+                        sent: step,
+                        msg,
+                    });
                 }
             }
+            counts.steps.push((
+                step,
+                LoggedStep {
+                    pid: ProcId::new(pid),
+                    sent,
+                },
+            ));
             if proc_.knows_all_done() {
+                counts.informed = Some(step);
                 self.done.store(true, Ordering::Release);
                 break;
             }
@@ -205,15 +271,21 @@ impl Shared<'_> {
 }
 
 /// Moves every held envelope that is due at `now` into `inbox`, in the
-/// order held, and keeps the later ones: the simulator's delivery rule on
-/// wall-clock time.
-fn take_due(held: &mut Vec<Envelope>, now: Instant, inbox: &mut Vec<Message>) {
+/// order held, with the step that sent each into `sent_by`, and keeps
+/// the later ones: the simulator's delivery rule on wall-clock time.
+fn take_due(
+    held: &mut Vec<Envelope>,
+    now: Instant,
+    inbox: &mut Vec<Message>,
+    sent_by: &mut Vec<u64>,
+) {
     // Cloning a message bumps a reference count; `retain` drops the original.
-    held.retain(|(due, msg)| {
-        if *due <= now {
-            inbox.push(msg.clone());
+    held.retain(|envelope| {
+        if envelope.due <= now {
+            inbox.push(envelope.msg.clone());
+            sent_by.push(envelope.sent);
         }
-        *due > now
+        envelope.due > now
     });
 }
 
@@ -228,25 +300,32 @@ mod tests {
         let from = |pid: usize| Message::new(ProcId::new(pid), BitSet::new(1));
         let senders =
             |msgs: Vec<&Message>| msgs.iter().map(|m| m.from().index()).collect::<Vec<_>>();
+        // Sender `pid` sent its envelope at step `10 + pid`.
+        let envelope = |ms: u64, pid: usize| Envelope {
+            due: at(ms),
+            sent: 10 + pid as u64,
+            msg: from(pid),
+        };
         let mut held = vec![
-            (at(15), from(0)),
-            (at(10), from(1)),
-            (at(7), from(2)),
-            (at(11), from(3)),
+            envelope(15, 0),
+            envelope(10, 1),
+            envelope(7, 2),
+            envelope(11, 3),
         ];
-        let mut inbox = Vec::new();
+        let (mut inbox, mut sent_by) = (Vec::new(), Vec::new());
         // Due exactly now (1) and overdue (2) move, in held order; the
         // later ones stay.
-        take_due(&mut held, at(10), &mut inbox);
+        take_due(&mut held, at(10), &mut inbox, &mut sent_by);
         assert_eq!(senders(inbox.iter().collect()), [1, 2]);
-        assert_eq!(senders(held.iter().map(|e| &e.1).collect()), [0, 3]);
+        assert_eq!(senders(held.iter().map(|e| &e.msg).collect()), [0, 3]);
         // Nothing new is due yet.
-        take_due(&mut held, at(10), &mut inbox);
+        take_due(&mut held, at(10), &mut inbox, &mut sent_by);
         assert_eq!(senders(inbox.iter().collect()), [1, 2]);
-        take_due(&mut held, at(11), &mut inbox);
-        take_due(&mut held, at(20), &mut inbox);
-        // Every envelope arrived exactly once.
+        take_due(&mut held, at(11), &mut inbox, &mut sent_by);
+        take_due(&mut held, at(20), &mut inbox, &mut sent_by);
+        // Every envelope arrived exactly once, with its sending step.
         assert_eq!(senders(inbox.iter().collect()), [1, 2, 3, 0]);
+        assert_eq!(sent_by, [11, 12, 13, 10]);
         assert!(held.is_empty());
     }
 }

@@ -28,7 +28,7 @@ use crate::bounds;
 use crate::perms::Schedules;
 use crate::sim::Simulation;
 use crate::Instance;
-use doall_bench::compare::{compare, compare_files, preserve_measured_values, Comparison};
+use doall_bench::compare::{compare, compare_files, Comparison};
 use doall_bench::grid::{
     build_adversary, build_algorithm, validate_algo_key, AdversarySpec, Grid, GridError,
 };
@@ -216,8 +216,8 @@ doall — message-delay-sensitive Do-All (Kowalski & Shvartsman, PODC'03)
 
 USAGE:
   doall simulate   --algo A -p P -t T -d D [--adversary ADV] [--seed S]
-  doall sweep      --grid 'algos=A,... advs=ADV,... [backends=B,...] shapes=PxT,...
-                   ds=D,... seeds=K seed=S'
+  doall sweep      --grid 'algos=A,... advs=ADV,... shapes=PxT,... ds=D,...
+                   seeds=K seed=S'
                    [--threads N] [--shard-size N] [--max-ticks N] [--json|--csv]
                    [--out PATH] [--baseline BASELINE.json] [--tolerance X]
   doall test       --suite DIR [--smoke] [--only ID,...] [--baseline BASELINE.json]
@@ -244,16 +244,6 @@ stagger even; straggler 25% at slowdown 2). Numeric knobs canonicalize
 algorithm's number has one spelling too: da:03 and da:+3 are refused
 (write da:3).
 
-BACKENDS (B): sim | threads
-  The optional backends= axis runs every cell once per backend: `sim` is
-  the deterministic tick simulator; `threads` executes the same state
-  machines on real OS threads via doall-runtime (d becomes a random
-  message-delay cap, crash plans become step budgets, stragglers a
-  slower pace). Tagged records carry a \"backend\" field plus the
-  measured-only metrics wall_clock_ms / crashed_drained /
-  max_crashed_backlog (zero under sim). Omitting the axis keeps the
-  legacy sim-only schema byte-for-byte.
-
 Sweeps run on the doall-bench harness: work is scheduled as (cell,
 replicate-chunk) shards across a thread pool with per-replicate
 deterministic seeding, so --threads and --shard-size change wall-clock
@@ -267,30 +257,26 @@ BENCH_smoke_baseline.json).
 path), runs each scenario's grids through the same sweep harness, and
 evaluates its `assert` lines against the summarized metrics. The report
 is an aggregated pass/fail table (or --json); each violated assertion
-names the exact offending cell (algo, adversary, backend, p, t, d,
-seeds, seed) with observed vs expected values. --smoke substitutes each
-scenario's smoke grids; --baseline diffs the merged records against a
-committed result set, and --record regenerates that file from the run
-instead (same deterministic renderer the baselines were committed
-with, so an unchanged suite regenerates the committed bytes exactly;
-refused while assertions fail). The report on stdout (or --out) is
-byte-identical across --threads and --shard-size. stderr carries the
-human view: per scenario a `## id — title` section with its setup
-line, a Markdown table of its records, and its notes (threads rows
-vary from run to run), then, when --baseline drifts, the full
-`compare` drift table. Assertion failures and baseline drift exit 1;
-unreadable suites or malformed scenarios exit 2. The committed
-scenarios/ directory is the paper's experiment suite (e01–e17).
+names the exact offending cell (algo, adversary, p, t, d, seeds, seed)
+with observed vs expected values. --smoke substitutes each scenario's
+smoke grids; --baseline diffs the merged records against a committed
+result set, and --record regenerates that file from the run instead
+(same deterministic renderer the baselines were committed with, so an
+unchanged suite regenerates the committed bytes exactly; refused while
+assertions fail). The report on stdout (or --out) is byte-identical
+across --threads and --shard-size. stderr carries the human view: per
+scenario a `## id — title` section with its setup line, a Markdown
+table of its records, and its notes, then, when --baseline drifts, the
+full `compare` drift table. Assertion failures and baseline drift exit
+1; unreadable suites or malformed scenarios exit 2. The committed
+scenarios/ directory is the paper's experiment suite (e01–e16).
 
 `compare` (and the --baseline of `sweep` and `test`) matches cells of
-two result sets by (experiment, algo, adversary, backend, p, t, d,
-seeds) — records without a backend field key as `sim` — and classifies
-each as exact, drift, added, or removed. Results are deterministic, so
-the default --tolerance is 0: any value drift on an unchanged grid is a
-regression. Measured-only metrics (wall_clock_ms, crashed_drained,
-max_crashed_backlog) and the values of `threads`-backend cells are
-exempt — real-thread counts follow OS scheduling, so only their
-presence is gated. Exit codes follow diff: 0 clean, 1 drift, 2 errors.
+two result sets by (experiment, algo, adversary, p, t, d, seeds) and
+classifies each as exact, drift, added, or removed. Results are
+deterministic, so the default --tolerance is 0: any value drift of any
+metric on an unchanged grid is a regression. Exit codes follow diff:
+0 clean, 1 drift, 2 errors.
 ";
 
 /// A cursor over one subcommand's arguments. Every flag is read through
@@ -707,20 +693,14 @@ pub fn execute(command: &Command) -> Result<Outcome, CliError> {
             }
             let mut report =
                 run_suite(&scenarios, &spec.run.suite_config(spec.smoke)).map_err(err)?;
-            // The human tables go to stderr: their `threads` rows vary
-            // from run to run, and stdout / --out must stay
-            // byte-deterministic.
+            // The human tables go to stderr, so stdout / --out carries
+            // only the report.
             note(&render_sections(&scenarios, &report.results));
             if let Some(baseline_path) = &spec.run.baseline {
                 if spec.record {
                     // Regenerate the baseline from this run — but never
-                    // from a failing suite. Timing-exempt values carry
-                    // over from the previous file, so an unchanged suite
-                    // reproduces the committed bytes exactly.
+                    // from a failing suite.
                     if report.is_clean() {
-                        if let Ok(old) = load_result_set(baseline_path) {
-                            preserve_measured_values(&mut report.results, &old);
-                        }
                         std::fs::write(baseline_path, report.results.to_json())
                             .map_err(|e| err(format!("cannot write {baseline_path}: {e}")))?;
                         note(&format!(
@@ -1050,25 +1030,6 @@ mod tests {
             "--grid is required"
         );
         assert!(parse(&sweep("algos=frobnicate shapes=4x8", "")).is_err());
-    }
-
-    #[test]
-    fn sweep_grid_accepts_the_backends_axis() {
-        use doall_bench::grid::Backend;
-        let grid = "algos=da:3 advs=unit,crash:25@burst backends=sim,threads shapes=8x32 ds=2 \
-                    seeds=2 seed=0";
-        match parse(&sweep(grid, "")).unwrap() {
-            Command::Sweep(spec) => {
-                assert_eq!(spec.grid.backends, vec![Backend::Sim, Backend::Threads]);
-                // One cell per (algo × adv × shape × d × backend).
-                assert_eq!(spec.grid.cells().len(), 4);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        let e = parse(&sweep("algos=da:3 backends=gpu shapes=8x32", ""))
-            .unwrap_err()
-            .to_string();
-        assert!(e.contains("unknown backend"), "{e}");
     }
 
     #[test]

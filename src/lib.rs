@@ -33,7 +33,8 @@
 //!   measured-vs-bound experiment tables (Section 4's contention bounds
 //!   are in [`perms`]).
 //! * [`runtime`] — the same algorithms on real OS threads with delayed
-//!   channels.
+//!   channels; each run records the linearization that the repository's
+//!   `tests/replay.rs` replays in the simulator.
 //!
 //! # Quickstart
 //!

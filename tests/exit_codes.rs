@@ -116,13 +116,49 @@ fn an_algorithm_key_has_one_spelling() {
 }
 
 #[test]
-fn oversized_threads_cells_exit_2_before_spawning() {
-    // One OS thread per processor: 2000 of them is refused up front.
-    let grid = "algos=paran1 backends=threads shapes=2000x2000 ds=1 seeds=1 seed=0";
-    let out = doall(&["sweep", "--grid", grid, "--threads", "1"]);
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a scratch suite directory under the system temp dir"
+)]
+fn a_backends_grid_field_exits_2() {
+    // Every cell runs on the simulator: there is no backends axis, in a
+    // --grid or in a scenario's grid line.
+    let grid = "algos=paran1 advs=unit backends=sim,threads shapes=4x8 ds=1 seeds=1 seed=0";
+    let out = doall(&["sweep", "--grid", grid]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for needle in ["backend=threads p=2000", "cap of 1024"] {
+    assert!(stderr.contains("unknown grid field `backends`"), "{stderr}");
+
+    let dir = std::env::temp_dir().join(format!("doall_exit_codes_axis_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the suite dir");
+    let scn = format!("id = x\ngrid = {grid}\nassert work >= t\n");
+    std::fs::write(dir.join("x.scn"), scn).expect("write the scenario");
+    let out = doall(&["test", "--suite", path_str(&dir)]);
+    std::fs::remove_dir_all(&dir).expect("remove the suite dir");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    for needle in ["x.scn: line 2", "unknown grid field `backends`"] {
+        assert!(stderr.contains(needle), "{stderr}");
+    }
+}
+
+#[test]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a scratch suite directory under the system temp dir"
+)]
+fn a_backend_selector_exits_2_at_load() {
+    let dir = std::env::temp_dir().join(format!("doall_exit_codes_sel_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the suite dir");
+    let scn = "id = x\n\
+               grid = algos=paran1 advs=unit shapes=4x8 ds=1 seeds=1 seed=0\n\
+               assert [backend=sim] work >= t\n";
+    std::fs::write(dir.join("x.scn"), scn).expect("write the scenario");
+    let out = doall(&["test", "--suite", path_str(&dir)]);
+    std::fs::remove_dir_all(&dir).expect("remove the suite dir");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    for needle in ["x.scn: line 3", "unknown selector key `backend`"] {
         assert!(stderr.contains(needle), "{stderr}");
     }
 }
