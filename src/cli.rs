@@ -1033,6 +1033,27 @@ mod tests {
     }
 
     #[test]
+    fn sweep_grid_refuses_the_backends_axis() {
+        // Every cell runs on the simulator: the same grid without a
+        // backends field parses to one untagged cell per (algo × adv).
+        let grid = "algos=da:3 advs=unit,crash:25@burst shapes=8x32 ds=2 seeds=2 seed=0";
+        match parse(&sweep(grid, "")).unwrap() {
+            Command::Sweep(spec) => {
+                let cells = spec.grid.cells();
+                assert_eq!(cells.len(), 2);
+                assert!(cells.iter().all(|c| c.backend.is_none()));
+            }
+            other => panic!("wrong command: {other:?}"),
+        }
+        for backends in ["backends=sim", "backends=sim,threads", "backends=gpu"] {
+            let e = parse(&sweep(&format!("{grid} {backends}"), ""))
+                .unwrap_err()
+                .to_string();
+            assert!(e.contains("unknown grid field `backends`"), "{e}");
+        }
+    }
+
+    #[test]
     fn sweep_grid_accepts_parameterized_adversary_keys_verbatim() {
         use doall_bench::grid::CrashStagger;
         let grid = "algos=da:3 advs=bursty:4,crash:25@burst,straggler:25:4 shapes=16x64 ds=2,8 \
